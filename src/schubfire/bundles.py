@@ -4,9 +4,14 @@ Expressions are small trees: the dual universal subbundle, symmetric
 powers, duals, direct sums, line bundles and line twists, virtual
 differences, and pullbacks to a projective bundle.  Total Chern classes
 follow the splitting principle; symmetric powers go through a universal
-table computed once per (rank, power) by enumerating the Chern roots of
-the power and rewriting the elementary symmetric functions of those roots
-in the elementary generators of the base roots.
+table, computed once per (power, rank, degree cap) by enumerating the
+Chern roots of the power and rewriting the elementary symmetric functions
+of those roots in the elementary generators of the base roots.
+
+The Chern and Segre series of each Sym^m U* are computed once per ring
+and shared by every caller, so the direct and projective-bundle routes of
+``limiting`` draw on the same classes.  The Segre series is only ever
+inverted up to the highest degree asked for so far.
 
 Everything is generic over the coefficient ring.  A ring context only has
 to provide ``top_degree``, ``universal_rank``, ``one()``, ``zero()`` and,
@@ -24,6 +29,7 @@ convention.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 from typing import Any
@@ -128,9 +134,6 @@ def bundle_rank(expr: BundleExpr, universal_rank: int) -> int:
 # Universal symmetric-power tables
 
 
-_SYM_TABLE_CACHE: dict[tuple[int, int], tuple[int, tuple]] = {}
-
-
 def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]:
     """Universal Chern classes of the d-th symmetric power of a rank-k bundle.
 
@@ -138,17 +141,18 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
     as {exponent tuple: coefficient}.  Computed by enumerating the
     comb(k+d-1, d) Chern roots (sums of d base roots with repetition),
     expanding the product of (1 + root t), and straightening each t-degree
-    into the elementary generators.  Results are cached per (k, d); a
-    larger requested degree recomputes and replaces the cached table, so
-    the cache behaves as if everything were computed fresh.
+    into the elementary generators.  Tables are memoized per (d, k, cap),
+    where cap is the requested degree clipped to the rank of the power.
     """
     if d < 1 or k < 1:
         raise ValueError("sym_chern needs d >= 1 and k >= 1")
     r_d = comb(k + d - 1, d)
     cap = r_d if max_degree is None else min(max_degree, r_d)
-    cached = _SYM_TABLE_CACHE.get((d, k))
-    if cached is not None and cached[0] >= cap:
-        return cached[1][: cap + 1]
+    return _sym_table(d, k, cap)
+
+
+@lru_cache(maxsize=None)
+def _sym_table(d: int, k: int, cap: int) -> tuple[dict, ...]:
     if d == 1:
         table = []
         for i in range(cap + 1):
@@ -160,9 +164,7 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
                 table.append({tuple(exps): 1})
             else:
                 table.append({})
-        result = tuple(table)
-        _SYM_TABLE_CACHE[(d, k)] = (cap, result)
-        return result
+        return tuple(table)
 
     roots = []
     for multiset in combinations_with_replacement(range(k), d):
@@ -190,9 +192,7 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
     for t_deg in range(cap + 1):
         m = sympoly.x_to_m(series[t_deg], k, check=False)
         table.append(sympoly.m_to_elementary(m, k))
-    result = tuple(table)
-    _SYM_TABLE_CACHE[(d, k)] = (cap, result)
-    return result
+    return tuple(table)
 
 
 # ---------------------------------------------------------------------------
@@ -425,9 +425,9 @@ def _series_mul(a: list, b: list, ring) -> list:
     return out
 
 
-def _series_inverse(c: list, ring, max_degree: int) -> list:
-    s = [ring.one()]
-    for p in range(1, max_degree + 1):
+def _extend_inverse(c, s: list, ring, max_degree: int) -> list:
+    """Extends s, a prefix of the inverse of the series c, to max_degree."""
+    for p in range(len(s), max_degree + 1):
         acc = ring.zero()
         for i in range(1, min(p, len(c) - 1) + 1):
             if c[i] and s[p - i]:
@@ -442,6 +442,34 @@ def _pad(series: list, ring) -> list:
     while len(out) < cap + 1:
         out.append(ring.zero())
     return out
+
+
+def _is_sym_ustar(expr: BundleExpr, ring) -> bool:
+    return (
+        expr.kind == SYM
+        and expr.children[0].kind == USTAR
+        and hasattr(ring, "universal_dual_chern")
+    )
+
+
+@lru_cache(maxsize=None)
+def _sym_ustar_series(m: int, ring) -> tuple[tuple, list]:
+    """Chern series of Sym^m U* on the ring, and a prefix of its Segre series.
+
+    The Segre list is extended in place by ``segre`` as callers ask for
+    higher degrees; it is never handed out itself, only copies of it.
+    """
+    chern = tuple(_sym_series(m, ustar(), ring))
+    return chern, [ring.one()]
+
+
+def _sym_series(power: int, child: BundleExpr, ring) -> list:
+    inner = total_chern(child, ring)
+    k_child = bundle_rank(child, ring.universal_rank)
+    table = sym_chern(power, k_child, max_degree=ring.top_degree)
+    gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
+    ev = _MonomialEvaluator(gens, ring)
+    return _pad([ev.poly(entry) for entry in table], ring)
 
 
 def total_chern(expr: BundleExpr, ring) -> list:
@@ -490,14 +518,9 @@ def total_chern(expr: BundleExpr, ring) -> list:
             out.append(acc)
         return out
     if kind == SYM:
-        child = expr.children[0]
-        k_child = bundle_rank(child, ring.universal_rank)
-        table = sym_chern(expr.power, k_child, max_degree=cap)
-        inner = total_chern(child, ring)
-        gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
-        ev = _MonomialEvaluator(gens, ring)
-        out = [ev.poly(entry) for entry in table]
-        return _pad(out, ring)
+        if _is_sym_ustar(expr, ring):
+            return list(_sym_ustar_series(expr.power, ring)[0])
+        return _sym_series(expr.power, expr.children[0], ring)
     if kind == DIFF:
         plus, minus = expr.children
         return _series_mul(
@@ -563,8 +586,10 @@ def segre(expr: BundleExpr, ring, max_degree: int | None = None) -> list:
                     acc = acc + coeff * (s_child[j] * mt_pows[i - j])
             out.append(acc)
         return out
-    c = total_chern(expr, ring)
-    return _series_inverse(c, ring, cap)
+    if _is_sym_ustar(expr, ring):
+        chern, s = _sym_ustar_series(expr.power, ring)
+        return _extend_inverse(chern, s, ring, cap)[: cap + 1]
+    return _extend_inverse(total_chern(expr, ring), [ring.one()], ring, cap)
 
 
 def c_top_virtual(expr: BundleExpr, r_top: int, ring):

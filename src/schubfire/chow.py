@@ -196,14 +196,6 @@ class ChowClass:
         return f"ChowClass({self.ctx.r},{self.ctx.n}; {schubert_string(self)})"
 
 
-def add(a: ChowClass, b: ChowClass) -> ChowClass:
-    return a + b
-
-
-def mul(a: ChowClass, b: ChowClass) -> ChowClass:
-    return a * b
-
-
 def chern_universal_dual(ctx: GrassCtx, i: int) -> ChowClass:
     """c_i of the dual universal subbundle: the i-rows column class."""
     if i < 0:

@@ -35,10 +35,9 @@ from .errors import (
 )
 from .limiting import (
     ProblemParams,
+    _guard,
     expected_dim,
-    is_generically_empty,
     rank_cap,
-    sigma_direct,
     split,
     total_class,
     verify_identity,
@@ -158,6 +157,14 @@ class _Parser:
         )
 
 
+def _guard_sym_ranks(expr: bundles.BundleExpr, k: int) -> None:
+    """Applies the rank cap to every symmetric power in the expression."""
+    if expr.kind == bundles.SYM:
+        _guard(bundles.bundle_rank(expr, k), expr.power)
+    for child in expr.children:
+        _guard_sym_ranks(child, k)
+
+
 def parse_class_expr(src: str):
     parser = _Parser(_tokenize(src))
     result = parser.class_expr()
@@ -245,6 +252,7 @@ def cmd_class(args) -> int:
     op, degree, expr = parse_class_expr(args.expr)
     GrassCtx(args.r, args.n)  # validates the parameter range for both bases
     k = args.r + 1
+    _guard_sym_ranks(expr, k)
     record = {
         "params": {"r": args.r, "n": args.n},
         "expr": args.expr,

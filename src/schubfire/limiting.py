@@ -22,6 +22,9 @@ part has a class of its own, computed here two ways:
 The direct route is the default (no projective bundle to build, so it is
 faster); the bundle route is kept as a cross-check.  The two must agree
 exactly as classes, and their sum must equal the undegenerated total.
+Both take the Chern and Segre classes of Sym^m U* from ``bundles``, which
+computes them once per Grassmannian; the only memo kept here is the
+finished direct-route class per problem.
 """
 
 from __future__ import annotations
@@ -88,12 +91,12 @@ def rank_triple(r: int, d: int, k: int) -> RankTriple:
     return RankTriple(comb(r + d, d), comb(r + k, k), comb(r + d - k, d - k))
 
 
-def _guard(r: int, d: int) -> None:
-    r_d = comb(r + d, d)
+def _guard(rank: int, d: int) -> None:
+    """Rejects a degree-d symmetric power whose rank is above the cap."""
     cap = rank_cap()
-    if r_d > cap:
+    if rank > cap:
         raise RankCapExceededError(
-            f"rank of the degree-{d} symmetric power is {r_d}, above the cap {cap} "
+            f"rank of the degree-{d} symmetric power is {rank}, above the cap {cap} "
             f"(override with {RANK_CAP_ENV})"
         )
 
@@ -104,45 +107,19 @@ def expected_dim(r: int, n: int, d: int) -> int:
     return (r + 1) * (n - r) - comb(r + d, d)
 
 
-@lru_cache(maxsize=None)
-def _sym_ustar_chern(r: int, n: int, m: int) -> tuple[ChowClass, ...]:
-    ctx = GrassCtx(r, n)
-    return tuple(bundles.total_chern(bundles.sym(m, bundles.ustar()), ctx))
-
-
-_SEGRE_CACHE: dict[tuple[int, int, int], list[ChowClass]] = {}
-
-
-def _sym_ustar_segre(r: int, n: int, m: int, upto: int) -> list[ChowClass]:
-    """Segre classes of Sym^m U*, grown on demand (indices above dim are 0)."""
-    ctx = GrassCtx(r, n)
-    upto = min(upto, ctx.dim)
-    key = (r, n, m)
-    got = _SEGRE_CACHE.get(key)
-    if got is None or len(got) <= upto:
-        got = list(
-            bundles.segre(bundles.sym(m, bundles.ustar()), ctx, max_degree=upto)
-        )
-        _SEGRE_CACHE[key] = got
-    return got
-
-
-def _segre_at(r: int, n: int, m: int, i: int, upto: int) -> ChowClass:
-    ctx = GrassCtx(r, n)
-    if i < 0 or i > ctx.dim:
-        return ctx.zero()
-    return _sym_ustar_segre(r, n, m, upto)[i]
+def _sym_ustar(m: int) -> bundles.BundleExpr:
+    return bundles.sym(m, bundles.ustar())
 
 
 def total_class(r: int, n: int, d: int) -> ChowClass:
     """Class of the r-planes on a generic degree-d hypersurface in P^n."""
     ProblemParams(r, n, d)
-    _guard(r, d)
-    ctx = GrassCtx(r, n)
     r_d = comb(r + d, d)
+    _guard(r_d, d)
+    ctx = GrassCtx(r, n)
     if r_d > ctx.dim:
         return ctx.zero()
-    return _sym_ustar_chern(r, n, d)[r_d]
+    return bundles.total_chern(_sym_ustar(d), ctx)[r_d]
 
 
 def is_generically_empty(r: int, n: int, d: int) -> bool:
@@ -162,7 +139,7 @@ def sigma_direct(r: int, n: int, d: int, k: int) -> ChowClass:
     where i runs to R, j to min(r_l - 1, R - i), h to R - i - j.
     """
     ProblemParams(r, n, d, k)
-    _guard(r, d)
+    _guard(comb(r + d, d), d)
     return _sigma_direct_cached(r, n, d, k)
 
 
@@ -174,39 +151,34 @@ def _sigma_direct_cached(r: int, n: int, d: int, k: int) -> ChowClass:
     if r_d > ctx.dim or r_k > ctx.dim:
         return ctx.zero()
     R = r_d - r_k
-    cd = _sym_ustar_chern(r, n, d)
-    cl = _sym_ustar_chern(r, n, l)
-    prefactor = _sym_ustar_chern(r, n, k)[r_k]
+    prefactor = bundles.total_chern(_sym_ustar(k), ctx)[r_k]
     if not prefactor:
         return ctx.zero()
+    cd = bundles.total_chern(_sym_ustar(d), ctx)
+    cl = bundles.total_chern(_sym_ustar(l), ctx)
+    sk = bundles.segre(_sym_ustar(k), ctx, max_degree=R)
+    sl = bundles.segre(_sym_ustar(l), ctx, max_degree=R)
 
     # Inner convolution over j, hoisted: W[p] = sum_j c_j(Sym^l) s_(p-j)(Sym^l)
     W = []
     for p in range(R + 1):
         acc = ctx.zero()
         for j in range(0, min(r_l - 1, p) + 1):
-            cj = cl[j] if j <= ctx.dim else ctx.zero()
-            if cj:
-                sq = _segre_at(r, n, l, p - j, R)
-                if sq:
-                    acc = acc + cj * sq
+            if cl[j] and sl[p - j]:
+                acc = acc + cl[j] * sl[p - j]
         W.append(acc)
 
     total = ctx.zero()
     for i in range(R + 1):
-        ci = cd[i] if i <= ctx.dim else ctx.zero()
-        if not ci:
+        if not cd[i]:
             continue
         inner = ctx.zero()
         for h in range(R - i + 1):
             coeff = comb(r_d - 1 - i, r_k - 1 + h)
-            if not coeff:
-                continue
-            sh = _segre_at(r, n, k, h, R)
-            if sh and W[R - i - h]:
-                inner = inner + coeff * (sh * W[R - i - h])
+            if coeff and sk[h] and W[R - i - h]:
+                inner = inner + coeff * (sk[h] * W[R - i - h])
         if inner:
-            total = total + ci * inner
+            total = total + cd[i] * inner
     return prefactor * total
 
 
@@ -220,7 +192,7 @@ def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:
     the top Chern class of Sym^k U*.
     """
     ProblemParams(r, n, d, k)
-    _guard(r, d)
+    _guard(comb(r + d, d), d)
     from .projbundle import PBCtx, pushforward
 
     ctx = GrassCtx(r, n)
@@ -229,19 +201,19 @@ def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:
     if r_d > ctx.dim or r_k > ctx.dim:
         return ctx.zero()
 
-    sym_l = bundles.sym(l, bundles.ustar())
+    sym_l = _sym_ustar(l)
     pb = PBCtx(ctx, sym_l)
     t = -pb.zeta()  # c1 of the tautological subbundle
     taut = bundles.line(t)
     big_quot = bundles.virtual_diff(
-        bundles.pullback_of(bundles.sym(d, bundles.ustar())),
-        bundles.twist(bundles.pullback_of(bundles.sym(k, bundles.ustar())), t),
+        bundles.pullback_of(_sym_ustar(d)),
+        bundles.twist(bundles.pullback_of(_sym_ustar(k)), t),
     )
     small_quot = bundles.virtual_diff(bundles.pullback_of(sym_l), taut)
     a = bundles.c_top_virtual(big_quot, r_d - r_k, pb)
     b = bundles.c_top_virtual(small_quot, r_l - 1, pb)
     pushed = pushforward(a * b)
-    return _sym_ustar_chern(r, n, k)[r_k] * pushed
+    return bundles.total_chern(_sym_ustar(k), ctx)[r_k] * pushed
 
 
 @dataclass

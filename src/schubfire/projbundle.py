@@ -24,7 +24,11 @@ from .errors import ContextMismatchError
 
 
 class PBCtx:
-    """Context for P(E) over a Grassmannian base."""
+    """Context for P(E) over a Grassmannian base.
+
+    It keeps c_0..c_e(E) on the base, the coefficients of the zeta
+    relation; nothing else about E is needed to multiply or push forward.
+    """
 
     def __init__(self, base: GrassCtx, bundle: bundles.BundleExpr):
         rank = bundles.bundle_rank(bundle, base.k)
@@ -38,7 +42,6 @@ class PBCtx:
         self.chern_e: tuple[ChowClass, ...] = tuple(
             chern[i] if i < len(chern) else base.zero() for i in range(rank + 1)
         )
-        self._segre_e: list[ChowClass] | None = None
 
     @property
     def universal_rank(self) -> int:
@@ -57,18 +60,6 @@ class PBCtx:
 
     def __repr__(self) -> str:
         return f"PBCtx(G({self.base.k},{self.base.n + 1}), rank {self.rank})"
-
-    def segre_e(self, i: int) -> ChowClass:
-        """Segre classes of E on the base, cached."""
-        if i < 0:
-            return self.base.zero()
-        if self._segre_e is None:
-            self._segre_e = list(
-                bundles.segre(self.bundle, self.base, max_degree=self.base.dim)
-            )
-        if i >= len(self._segre_e):
-            return self.base.zero()
-        return self._segre_e[i]
 
     def zero(self) -> "PBClass":
         return PBClass._from_clean(self, tuple(self.base.zero() for _ in range(self.rank)))
@@ -200,13 +191,8 @@ def pushforward(a: PBClass) -> ChowClass:
     """Integration over the fibers.
 
     For a class written as sum_j alpha_j zeta^j this is
-    sum_j alpha_j s_(j - e + 1)(E); in canonical form only j = e-1
-    contributes, through s_0 = 1.
+    sum_j alpha_j s_(j - e + 1)(E).  In canonical form j <= e-1, so only
+    j = e-1 contributes, through s_0 = 1; the higher Segre classes have
+    already entered through the zeta relation that put the class there.
     """
-    ctx = a.ctx
-    e = ctx.rank
-    acc = ctx.base.zero()
-    for j, c in enumerate(a.coeffs):
-        if c:
-            acc = acc + c * ctx.segre_e(j - (e - 1))
-    return acc
+    return a.coeffs[a.ctx.rank - 1]

@@ -241,3 +241,36 @@ def test_sym_chern_agrees_with_root_polynomial_straightening():
         table_route = total_chern(sym(d, ustar()), g)
         for i in range(g.dim + 1):
             assert schur_expand(series[i], g) == table_route[i], (r, n, d, i)
+
+
+def test_sym_ustar_segre_grows_to_the_same_series(clear_caches):
+    g = GrassCtx(2, 5)
+    e = sym(2, ustar())
+    short = segre(e, g, max_degree=3)
+    assert len(short) == 4
+    grown = segre(e, g, max_degree=g.dim)
+    assert grown[:4] == short
+    clear_caches()
+    assert segre(e, g, max_degree=g.dim) == grown
+
+
+def test_sym_ustar_series_are_returned_as_copies(clear_caches):
+    g = GrassCtx(2, 5)
+    e = sym(2, ustar())
+    c = total_chern(e, g)
+    s = segre(e, g, max_degree=4)
+    expected = (list(c), list(s))
+    c[1] = g.zero()
+    s[1] = g.zero()
+    s.append(g.one())
+    assert (total_chern(e, g), segre(e, g, max_degree=4)) == expected
+
+
+def test_sym_ustar_needs_the_universal_bundle():
+    from schubfire.projbundle import PBCtx
+
+    pb = PBCtx(GrassCtx(1, 3), sym(2, ustar()))
+    with pytest.raises(ValueError):
+        total_chern(sym(2, ustar()), pb)
+    with pytest.raises(ValueError):
+        segre(sym(2, ustar()), pb)

@@ -224,3 +224,16 @@ def test_verify_skips_guardrailed_points(monkeypatch, capsys):
     assert code == 0
     record = json.loads(out)
     assert any(entry.get("skipped") for entry in record["grid"])
+
+
+@pytest.mark.parametrize("expr", ["ctop(sym(3,Ustar))", "ctop(sym(2,sym(2,Ustar)))"])
+@pytest.mark.parametrize("basis", ["schubert", "chern"])
+def test_class_applies_the_rank_cap(monkeypatch, capsys, expr, basis):
+    # ranks 4 and 6 (the outer power of the nested expression) exceed 3
+    monkeypatch.setenv("SCHUBFIRE_RANK_CAP", "3")
+    code, out, err = run(
+        capsys, "class", "--expr", expr, "--r", "1", "--n", "3", "--basis", basis
+    )
+    assert code == 3
+    assert "cap" in err
+    assert out == ""

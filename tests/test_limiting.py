@@ -202,3 +202,25 @@ def test_route_mismatch_guard():
 
 def test_repr_is_readable():
     assert "27*s[2,2]" in schubert_string(total_class(1, 3, 3))
+
+
+def test_routes_share_the_sym_ustar_memo(clear_caches):
+    from schubfire import bundles
+
+    sigma_direct(3, 8, 3, 1)
+    misses = bundles._sym_ustar_series.cache_info().misses
+    assert misses == 3  # Sym^3, Sym^2 and Sym^1 of U* on G(4, 9)
+    sigma_pb(3, 8, 3, 1)
+    assert bundles._sym_ustar_series.cache_info().misses == misses
+
+
+@pytest.mark.parametrize("r,n,d,k", [(3, 8, 3, 1), (2, 9, 5, 2)])
+def test_split_does_not_depend_on_which_side_comes_first(clear_caches, r, n, d, k):
+    first = split(r, n, d, k)
+    clear_caches()
+    second = split(r, n, d, d - k)
+    assert (first.total, first.sigma_k, first.sigma_l) == (
+        second.total,
+        second.sigma_l,
+        second.sigma_k,
+    )
