@@ -5,8 +5,9 @@ powers, duals, direct sums, line bundles and line twists, virtual
 differences, and pullbacks to a projective bundle.  Total Chern classes
 follow the splitting principle; symmetric powers go through a universal
 table, computed once per (power, rank, degree cap) by enumerating the
-Chern roots of the power and rewriting the elementary symmetric functions
-of those roots in the elementary generators of the base roots.
+Chern roots of the power, reading off the Schur coefficients of the
+elementary symmetric functions of those roots, and rewriting them in the
+elementary generators of the base roots (``sympoly``).
 
 The Chern and Segre series of each Sym^m U* are computed once per ring
 and shared by every caller, so the direct and projective-bundle routes of
@@ -140,9 +141,11 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
     Entry i is c_i(Sym^d E) as an integer polynomial in c1..ck(E), encoded
     as {exponent tuple: coefficient}.  Computed by enumerating the
     comb(k+d-1, d) Chern roots (sums of d base roots with repetition),
-    expanding the product of (1 + root t), and straightening each t-degree
-    into the elementary generators.  Tables are memoized per (d, k, cap),
-    where cap is the requested degree clipped to the rank of the power.
+    expanding the product of (1 + root t), reading off the Schur
+    coefficients of each t-degree by the bialternant formula and
+    straightening them into the elementary generators by the Pieri rule.
+    Tables are memoized per (d, k, cap), where cap is the requested degree
+    clipped to the rank of the power.
     """
     if d < 1 or k < 1:
         raise ValueError("sym_chern needs d >= 1 and k >= 1")
@@ -153,46 +156,20 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
 
 @lru_cache(maxsize=None)
 def _sym_table(d: int, k: int, cap: int) -> tuple[dict, ...]:
-    if d == 1:
-        table = []
-        for i in range(cap + 1):
-            exps = [0] * k
-            if i == 0:
-                table.append({tuple(exps): 1})
-            elif i <= k:
-                exps[i - 1] = 1
-                table.append({tuple(exps): 1})
-            else:
-                table.append({})
-        return tuple(table)
-
-    roots = []
+    series: list[sympoly.XPoly] = [{(0,) * k: 1}] + [{} for _ in range(cap)]
     for multiset in combinations_with_replacement(range(k), d):
-        exps = [0] * k
+        root: sympoly.XPoly = {}
         for i in multiset:
-            exps[i] += 1
-        roots.append(tuple(exps))
-
-    zero_key = (0,) * k
-    series: list[sympoly.XPoly] = [{zero_key: 1}] + [{} for _ in range(cap)]
-    for root in roots:
-        linear = {}
-        for i, mult in enumerate(root):
-            if mult:
-                key = [0] * k
-                key[i] = 1
-                linear[tuple(key)] = mult
+            key = tuple(int(j == i) for j in range(k))
+            root[key] = root.get(key, 0) + 1
         for t_deg in range(cap, 0, -1):
             if series[t_deg - 1]:
                 series[t_deg] = sympoly.poly_add(
-                    series[t_deg], sympoly.poly_mul(series[t_deg - 1], linear)
+                    series[t_deg], sympoly.poly_mul(series[t_deg - 1], root)
                 )
-
-    table = []
-    for t_deg in range(cap + 1):
-        m = sympoly.x_to_m(series[t_deg], k, check=False)
-        table.append(sympoly.m_to_elementary(m, k))
-    return tuple(table)
+    return tuple(
+        sympoly.schur_to_elementary(sympoly.schur_coefficients(p, k), k) for p in series
+    )
 
 
 # ---------------------------------------------------------------------------

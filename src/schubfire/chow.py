@@ -24,6 +24,7 @@ from .partitions import (
     Partition,
     _lr,
     fits_box,
+    iter_box_partitions,
     normalize,
     weight,
 )
@@ -227,8 +228,9 @@ def schur_expand(p: Mapping, ctx: GrassCtx) -> ChowClass:
     """Image in the Chow ring of a symmetric polynomial in the Chern roots.
 
     p maps exponent tuples (in up to k = r+1 variables) to integers.  The
-    polynomial must be symmetric; homogeneous pieces of degree above the
-    ring dimension are dropped, and Schur terms leaving the box vanish.
+    polynomial must be symmetric.  Only the Schur coefficients of the box
+    partitions are read off (``sympoly.schur_coefficient``), so pieces of
+    degree above the ring dimension and Schur terms leaving the box vanish.
     """
     k = ctx.k
     xdict: sympoly.XPoly = {}
@@ -248,10 +250,12 @@ def schur_expand(p: Mapping, ctx: GrassCtx) -> ChowClass:
                 xdict[t] = v
             elif t in xdict:
                 del xdict[t]
-    m = sympoly.x_to_m(xdict, k)
-    m = {key: c for key, c in m.items() if sum(key) <= ctx.dim}
-    sch = sympoly.m_to_schur(m, k)
-    terms = {lam: c for lam, c in sch.items() if fits_box(lam, ctx.box) and c}
+    sympoly.x_to_m(xdict, k)  # raises unless p is symmetric
+    terms = {}
+    for lam in iter_box_partitions(ctx.box):
+        c = sympoly.schur_coefficient(xdict, lam, k)
+        if c:
+            terms[lam] = c
     return ChowClass._from_clean(ctx, terms)
 
 

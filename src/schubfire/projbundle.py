@@ -74,6 +74,7 @@ class PBCtx:
         return PBClass._from_clean(self, _reduce(self, raw))
 
     def pullback(self, alpha: ChowClass) -> "PBClass":
+        """Base class seen on the projective bundle (coefficient of zeta^0)."""
         if alpha.ctx != self.base:
             raise ContextMismatchError(f"{alpha.ctx} is not the base of {self}")
         coeffs = [alpha] + [self.base.zero()] * (self.rank - 1)
@@ -176,15 +177,6 @@ class PBClass:
     def __repr__(self) -> str:
         parts = [f"({c!r})*z^{j}" for j, c in enumerate(self.coeffs) if c]
         return "PBClass(" + (" + ".join(parts) if parts else "0") + ")"
-
-
-def pb_mul(a: PBClass, b: PBClass) -> PBClass:
-    return a * b
-
-
-def pullback(alpha: ChowClass, ctx: PBCtx) -> PBClass:
-    """Base class seen on the projective bundle (coefficient of zeta^0)."""
-    return ctx.pullback(alpha)
 
 
 def pushforward(a: PBClass) -> ChowClass:

@@ -3,16 +3,23 @@
 Three coordinate systems show up:
 
 * x-monomials: exponent tuples of length k, one slot per variable;
-* m-coordinates: partition-shaped exponent tuples (sorted descending,
-  padded to length k), one entry per monomial-symmetric orbit;
+* Schur coefficients: {partition: c}, partitions with trailing zeros
+  stripped and at most k rows;
 * e-monomials: exponent tuples (a1..ak) standing for e1^a1 * ... * ek^ak
   in the elementary generators.
 
-All coefficients are Python ints, so nothing can overflow.  Conversion out
-of the x/m world is done by straightening: repeatedly read off the
-lexicographically greatest exponent vector (always a partition for a
-symmetric input) and subtract the matching elementary monomial or Schur
-expansion until nothing is left.
+All coefficients are Python ints, so nothing can overflow.  There is one
+straightening.  Schur coefficients are read off by the bialternant formula
+(Macdonald, ch. I.3): with delta = (k-1, ..., 0) and a_delta the
+Vandermonde alternant, f * a_delta = sum_lam c_lam a_(lam+delta), so
+
+    c_lam = sum over sigma in S_k of sgn(sigma) f[lam + delta - sigma(delta)].
+
+Elementary coordinates follow by repeatedly taking the lexicographically
+greatest lam and subtracting c_lam e_(lam'), where
+e_(lam') = prod e_i^(lam_i - lam_(i+1)) is s_lam plus lex-smaller Schur
+terms; its Schur expansion is built one vertical strip at a time by the
+Pieri rule of the product kernel.
 """
 
 from __future__ import annotations
@@ -20,20 +27,20 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import factorial
+from typing import Iterator
 
 from .errors import NonSymmetricInputError
+from .partitions import Partition, _pieri, conjugate
 
 XPoly = dict[tuple[int, ...], int]
 
 
-def poly_mul(p: XPoly, q: XPoly, cap: int | None = None) -> XPoly:
-    """Product of exponent-tuple dicts, optionally dropping degrees > cap."""
+def poly_mul(p: XPoly, q: XPoly) -> XPoly:
+    """Product of exponent-tuple dicts."""
     out: XPoly = {}
     for ea, ca in p.items():
         for eb, cb in q.items():
             key = tuple(x + y for x, y in zip(ea, eb))
-            if cap is not None and sum(key) > cap:
-                continue
             c = out.get(key, 0) + ca * cb
             if c:
                 out[key] = c
@@ -106,11 +113,11 @@ def _distinct_perm_count(key: tuple[int, ...]) -> int:
     return out
 
 
-def x_to_m(p: XPoly, k: int, check: bool = True) -> dict[tuple[int, ...], int]:
+def x_to_m(p: XPoly, k: int) -> dict[tuple[int, ...], int]:
     """Collapse a symmetric x-poly to m-coordinates.
 
-    With check=True, raises NonSymmetricInputError unless every orbit is
-    complete and carries a constant coefficient.
+    Raises NonSymmetricInputError unless every orbit is complete and
+    carries a constant coefficient.
     """
     m: dict[tuple[int, ...], int] = {}
     census: dict[tuple[int, ...], int] = {}
@@ -121,146 +128,115 @@ def x_to_m(p: XPoly, k: int, check: bool = True) -> dict[tuple[int, ...], int]:
         census[skey] = census.get(skey, 0) + 1
         if key == skey:
             m[skey] = c
-    if check:
-        for key, c in p.items():
-            skey = tuple(sorted(key, reverse=True))
-            if m.get(skey) != c:
-                raise NonSymmetricInputError(
-                    f"coefficient of x^{key} differs within its orbit"
-                )
-        for skey, seen in census.items():
-            if seen != _distinct_perm_count(skey):
-                raise NonSymmetricInputError(f"orbit of {skey} is incomplete")
+    for key, c in p.items():
+        skey = tuple(sorted(key, reverse=True))
+        if m.get(skey) != c:
+            raise NonSymmetricInputError(
+                f"coefficient of x^{key} differs within its orbit"
+            )
+    for skey, seen in census.items():
+        if seen != _distinct_perm_count(skey):
+            raise NonSymmetricInputError(f"orbit of {skey} is incomplete")
     return {key: c for key, c in m.items() if c}
 
 
-def m_elem_step(m: dict[tuple[int, ...], int], p: int, k: int) -> dict[tuple[int, ...], int]:
-    """Multiply an m-coordinate dict by e_p, staying in m-coordinates."""
-    if p == 0:
-        return dict(m)
-    if p > k:
-        return {}
-    out: dict[tuple[int, ...], int] = {}
-    for nu, c in m.items():
-        bucket: dict[tuple[int, ...], int] = {}
-        for w in set(permutations(nu)):
-            for chosen in combinations(range(k), p):
-                v = list(w)
-                for i in chosen:
-                    v[i] += 1
-                vt = tuple(v)
-                bucket[vt] = bucket.get(vt, 0) + 1
-        for vt, cnt in bucket.items():
-            if all(vt[i] >= vt[i + 1] for i in range(k - 1)):
-                val = out.get(vt, 0) + c * cnt
-                if val:
-                    out[vt] = val
-                elif vt in out:
-                    del out[vt]
+@lru_cache(maxsize=None)
+def _signed_shifts(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    # Pairs (delta - sigma(delta), sgn sigma) over S_k; entry i of the
+    # shift is sigma(i) - i.
+    out = []
+    for perm in permutations(range(k)):
+        inversions = sum(perm[a] > perm[b] for a in range(k) for b in range(a + 1, k))
+        out.append((tuple(p - i for i, p in enumerate(perm)), -1 if inversions % 2 else 1))
+    return tuple(out)
+
+
+def schur_coefficient(f: XPoly, lam: Partition, k: int) -> int:
+    """Coefficient of s_lam in a symmetric x-poly f in k variables.
+
+    Only the degree-|lam| part of f is read, so f may be inhomogeneous.
+    Zero when lam has more than k rows.  A permutation that moves one of
+    the zero rows of lam reads a negative exponent, so only the
+    permutations of the first len(lam) rows contribute.
+    """
+    rows = len(lam)
+    if rows > k:
+        return 0
+    tail = (0,) * (k - rows)
+    total = 0
+    for shift, sign in _signed_shifts(rows):
+        c = f.get(tuple(a + s for a, s in zip(lam, shift)) + tail)
+        if c:
+            total += sign * c
+    return total
+
+
+def _partitions(n: int, rows: int, top: int) -> Iterator[Partition]:
+    # Partitions of n with at most `rows` parts, each at most `top`.
+    if n == 0:
+        yield ()
+        return
+    for p in range(min(n, top), 0, -1):
+        if p * rows < n:
+            break
+        for rest in _partitions(n - p, rows - 1, p):
+            yield (p,) + rest
+
+
+def schur_coefficients(f: XPoly, k: int) -> dict[Partition, int]:
+    """Schur expansion {partition: c} of a symmetric x-poly in k variables.
+
+    The candidate shapes in each degree are bounded by the largest exponent
+    that occurs in that degree: every x-monomial read for c_lam has an
+    exponent of at least lam_1.
+    """
+    tops: dict[int, int] = {}
+    for key in f:
+        deg = sum(key)
+        tops[deg] = max(tops.get(deg, 0), max(key))
+    out: dict[Partition, int] = {}
+    for deg, top in sorted(tops.items()):
+        for lam in _partitions(deg, k, top):
+            c = schur_coefficient(f, lam, k)
+            if c:
+                out[lam] = c
     return out
 
 
 @lru_cache(maxsize=None)
-def e_monomial_m_expansion(cols: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
-    """m-expansion of a product of elementary polynomials.
+def e_monomial_schur_expansion(cols: tuple[int, ...], k: int) -> dict[Partition, int]:
+    """Schur expansion of e_(cols[0]) * e_(cols[1]) * ... in k variables.
 
-    cols is the weakly decreasing tuple of elementary indices; prefixes are
-    shared through the cache.  Callers must treat the result as read-only.
+    cols is the weakly decreasing tuple of elementary indices.  Each factor
+    adds one vertical strip; the column bound is the degree, so nothing is
+    truncated, and prefixes are shared through the cache.  Callers must
+    treat the result as read-only.
     """
     if not cols:
-        return {(0,) * k: 1}
-    prev = e_monomial_m_expansion(cols[:-1], k)
-    return m_elem_step(prev, cols[-1], k)
+        return {(): 1}
+    bound = sum(cols)
+    out: dict[Partition, int] = {}
+    for kappa, c in e_monomial_schur_expansion(cols[:-1], k).items():
+        for nu in _pieri(kappa, cols[-1], k, bound):
+            out[nu] = out.get(nu, 0) + c
+    return out
 
 
-def _e_exps_to_cols(exps: tuple[int, ...]) -> tuple[int, ...]:
-    cols: list[int] = []
-    for i in range(len(exps), 0, -1):
-        cols.extend([i] * exps[i - 1])
-    return tuple(cols)
-
-
-def m_to_elementary(m: dict[tuple[int, ...], int], k: int) -> dict[tuple[int, ...], int]:
-    """Rewrite an m-coordinate dict as a polynomial in e1..ek."""
-    work = {key: c for key, c in m.items() if c}
+def schur_to_elementary(schur: dict[Partition, int], k: int) -> dict[tuple[int, ...], int]:
+    """Rewrite a Schur expansion (shapes of at most k rows) in e1..ek."""
+    work = {lam: c for lam, c in schur.items() if c}
+    if any(len(lam) > k for lam in work):
+        raise ValueError(f"a Schur polynomial in {k} variables has at most {k} rows")
     out: dict[tuple[int, ...], int] = {}
     while work:
         lam = max(work)
         c = work[lam]
-        exps = tuple(lam[i] - lam[i + 1] for i in range(k - 1)) + (lam[k - 1],)
-        out[exps] = out.get(exps, 0) + c
-        for key, cnt in e_monomial_m_expansion(_e_exps_to_cols(exps), k).items():
-            v = work.get(key, 0) - c * cnt
+        padded = lam + (0,) * (k + 1 - len(lam))
+        out[tuple(padded[i] - padded[i + 1] for i in range(k))] = c
+        for nu, cnt in e_monomial_schur_expansion(conjugate(lam), k).items():
+            v = work.get(nu, 0) - c * cnt
             if v:
-                work[key] = v
-            elif key in work:
-                del work[key]
-    return {e: c for e, c in out.items() if c}
-
-
-@lru_cache(maxsize=None)
-def schur_m_expansion(lam: tuple[int, ...], k: int) -> dict[tuple[int, ...], int]:
-    """m-expansion of the Schur polynomial s_lam(x1..xk).
-
-    Enumerates semistandard tableaux of shape lam with entries in 1..k and
-    reads off the contents; the partition-shaped contents carry the Kostka
-    numbers.  Zero (empty dict) when lam has more than k rows.
-    """
-    if len(lam) > k:
-        return {}
-    if not lam:
-        return {(0,) * k: 1}
-    contents: dict[tuple[int, ...], int] = {}
-
-    def fill(row: int, above: tuple[int, ...], content: list[int]) -> None:
-        width = lam[row]
-
-        def cells(j: int, prev: int) -> None:
-            if j == width:
-                if row + 1 == len(lam):
-                    key = tuple(content)
-                    contents[key] = contents.get(key, 0) + 1
-                else:
-                    fill(row + 1, tuple(current_row), content)
-                return
-            lo = prev
-            if row > 0:
-                lo = max(lo, above[j] + 1)
-            for v in range(lo, k + 1):
-                current_row[j] = v
-                content[v - 1] += 1
-                cells(j + 1, v)
-                content[v - 1] -= 1
-
-        current_row = [0] * width
-        cells(0, 1)
-
-    fill(0, (), [0] * k)
-    return {
-        key: c
-        for key, c in contents.items()
-        if all(key[i] >= key[i + 1] for i in range(k - 1))
-    }
-
-
-def m_to_schur(m: dict[tuple[int, ...], int], k: int) -> dict[tuple[int, ...], int]:
-    """Rewrite an m-coordinate dict in the Schur basis.
-
-    Keys of the result are partitions with trailing zeros stripped.
-    """
-    work = {key: c for key, c in m.items() if c}
-    out: dict[tuple[int, ...], int] = {}
-    while work:
-        lam = max(work)
-        c = work[lam]
-        stripped = lam
-        while stripped and stripped[-1] == 0:
-            stripped = stripped[:-1]
-        out[stripped] = out.get(stripped, 0) + c
-        for key, cnt in schur_m_expansion(stripped, k).items():
-            v = work.get(key, 0) - c * cnt
-            if v:
-                work[key] = v
-            elif key in work:
-                del work[key]
-    return {e: c for e, c in out.items() if c}
+                work[nu] = v
+            elif nu in work:
+                del work[nu]
+    return out

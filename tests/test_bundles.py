@@ -212,10 +212,12 @@ def test_pullback_requires_bundle_context():
 
 
 def test_sym_chern_agrees_with_root_polynomial_straightening():
-    # Independent route: expand the product of (1 + root t) over the Chern
-    # roots of the symmetric power directly as a symmetric polynomial and
-    # push it through the SSYT-based Schur straightening; must match the
-    # table + monomial-evaluation route class by class.
+    # Second route: expand the product of (1 + root t) over the Chern roots
+    # of the symmetric power as a symmetric polynomial and read its Schur
+    # coefficients straight into the box with schur_expand; must match the
+    # table route (Schur coefficients, Pieri straightening into c1..ck,
+    # evaluation by Chow products) class by class.  Both share the
+    # bialternant read-off, which test_chow checks against Jacobi-Trudi.
     from itertools import combinations_with_replacement
 
     from schubfire.chow import schur_expand

@@ -18,7 +18,7 @@ from schubfire.errors import (
     DegreeMismatchError,
     NonSymmetricInputError,
 )
-from schubfire.partitions import complement_in_box, iter_box_partitions, weight
+from schubfire.partitions import Box, complement_in_box, fits_box, iter_box_partitions, weight
 from schubfire.sympoly import (
     complete_x,
     elementary_x,
@@ -27,6 +27,8 @@ from schubfire.sympoly import (
     poly_mul,
     poly_scale,
 )
+
+from _oracles import schur_x_jt
 
 
 @pytest.fixture
@@ -161,6 +163,16 @@ def test_schur_expand_errors_and_filtering():
         schur_expand({(1, 1, 1): 1}, ctx)  # three variables on k = 2
     # degrees above the ring dimension are dropped
     assert schur_expand(complete_x(5, 2), ctx) == ctx.zero()
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_schur_expand_reads_off_jacobi_trudi_schur_polynomials(k):
+    ctx = GrassCtx(k - 1, k + 2)  # a k x 3 box: some shapes below leave it
+    for lam in iter_box_partitions(Box(k, 6)):
+        if weight(lam) > 6:
+            continue
+        expected = ctx.sigma(lam) if fits_box(lam, ctx.box) else ctx.zero()
+        assert schur_expand(schur_x_jt(lam, k), ctx) == expected, lam
 
 
 def test_schur_expand_is_ring_hom():

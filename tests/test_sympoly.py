@@ -5,15 +5,15 @@ import pytest
 from schubfire.errors import NonSymmetricInputError
 from schubfire.sympoly import (
     complete_x,
-    e_monomial_m_expansion,
+    e_monomial_schur_expansion,
     elementary_x,
-    m_to_elementary,
-    m_to_schur,
     monomial_sym_x,
     poly_add,
     poly_mul,
     poly_scale,
-    schur_m_expansion,
+    schur_coefficient,
+    schur_coefficients,
+    schur_to_elementary,
     x_to_m,
 )
 
@@ -35,42 +35,41 @@ def test_x_to_m_detects_asymmetry():
     assert x_to_m({(2, 0): 3, (0, 2): 3}, 2) == {(2, 0): 3}
 
 
-def test_m_elem_fold_matches_direct_expansion():
-    # e1^2 e2 in 3 variables, via the cached m-space fold
-    got = e_monomial_m_expansion((2, 1, 1), 3)
+def test_e_monomial_schur_expansion_matches_direct_expansion():
+    # e2 e1^2 in 3 variables, strip by strip, against the x-poly product
+    got = e_monomial_schur_expansion((2, 1, 1), 3)
     direct = poly_mul(poly_mul(elementary_x(2, 3), elementary_x(1, 3)), elementary_x(1, 3))
-    assert got == x_to_m(direct, 3)
+    assert got == schur_coefficients(direct, 3)
+    assert got == {(3, 1): 1, (2, 2): 1, (2, 1, 1): 2}  # s_{1,1,1,1} vanishes
 
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_schur_expansion_matches_jacobi_trudi(k):
-    shapes = [(), (1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1), (2, 1, 1), (2, 2, 1)]
+    shapes = [(), (1,), (2,), (1, 1), (2, 1), (3,), (2, 2), (3, 1), (2, 1, 1), (2, 2, 1), (3, 2, 1)]
     for lam in shapes:
+        s_lam = schur_x_jt(lam, k)
         if len(lam) > k:
-            assert schur_m_expansion(lam, k) == {}
+            assert s_lam == {}
+            assert schur_coefficient(complete_x(sum(lam), k), lam, k) == 0
             continue
-        assert schur_m_expansion(lam, k) == x_to_m(schur_x_jt(lam, k), k), lam
+        assert schur_coefficients(s_lam, k) == {lam: 1}, lam
+        # inhomogeneous input: only the degree-|lam| part is read
+        assert schur_coefficient(poly_add(s_lam, complete_x(sum(lam) + 1, k)), lam, k) == 1, lam
 
 
-def test_m_to_schur_round_trip():
-    for lam in [(2, 1), (3, 1), (2, 2), (3, 2, 1)]:
-        m = schur_m_expansion(lam, 3)
-        if not m:
-            continue
-        assert m_to_schur(m, 3) == {lam: 1}
-
-
-def test_m_to_elementary_round_trip():
+def test_schur_to_elementary_round_trip():
     # s_{2,1} = e2 e1 - e3
-    assert m_to_elementary(schur_m_expansion((2, 1), 3), 3) == {
+    assert schur_to_elementary(schur_coefficients(schur_x_jt((2, 1), 3), 3), 3) == {
         (1, 1, 0): 1,
         (0, 0, 1): -1,
     }
     # h_2 = e1^2 - e2
-    assert m_to_elementary(x_to_m(complete_x(2, 3), 3), 3) == {
+    assert schur_to_elementary(schur_coefficients(complete_x(2, 3), 3), 3) == {
         (2, 0, 0): 1,
         (0, 1, 0): -1,
     }
+    with pytest.raises(ValueError):
+        schur_to_elementary({(1, 1, 1): 1}, 2)
 
 
 def test_monomial_sym_and_scale():
