@@ -6,8 +6,10 @@ differences, and pullbacks to a projective bundle.  Total Chern classes
 follow the splitting principle; symmetric powers go through a universal
 table, computed once per (power, rank, degree cap) by enumerating the
 Chern roots of the power, reading off the Schur coefficients of the
-elementary symmetric functions of those roots, and rewriting them in the
-elementary generators of the base roots (``sympoly``).
+elementary symmetric functions of those roots (``sympoly``), and rewriting
+them in the elementary generators of the base roots by the Pieri
+inversion that the product kernel also uses
+(``partitions.schur_to_elementary``).
 
 The Chern and Segre series of each Sym^m U* are computed once per ring
 and shared by every caller, so the direct and projective-bundle routes of

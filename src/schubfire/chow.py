@@ -160,9 +160,10 @@ class ChowClass:
         for lam, ca in self.terms.items():
             for mu, cb in other.terms.items():
                 c = ca * cb
-                # Decompose the factor with the narrower diagram: its
-                # determinant expansion is smaller.  The cache key is the
-                # ordered pair, so a consistent choice maximizes reuse.
+                # Decompose the factor with the narrower diagram: each
+                # e-monomial of s_mu has mu_1 factors, so it adds fewer
+                # strips.  The cache key is the ordered pair, so a
+                # consistent choice maximizes reuse.
                 a, b = lam, mu
                 if (b[0] if b else 0) > (a[0] if a else 0):
                     a, b = b, a

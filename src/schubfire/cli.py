@@ -258,13 +258,14 @@ def cmd_class(args) -> int:
     }
     if args.basis == "chern":
         rank = bundles.bundle_rank(expr, k)
-        cap = rank if op == "ctop" else degree
-        ring = bundles.ChernCtx(k, max(cap, 0))
+        # The parser builds only honest bundles, whose Chern classes vanish
+        # above the rank, so chern(i, E) never needs a ring above it.
+        cap = rank if op == "ctop" else min(degree, rank) if op == "chern" else degree
+        ring = bundles.ChernCtx(k, cap)
         if op == "ctop":
             value = bundles.total_chern(expr, ring)[rank]
         elif op == "chern":
-            series = bundles.total_chern(expr, ring)
-            value = series[degree] if degree < len(series) else ring.zero()
+            value = bundles.total_chern(expr, ring)[degree] if degree <= rank else ring.zero()
         else:
             value = bundles.segre(expr, ring, max_degree=degree)[degree]
         record["class"] = [

@@ -7,9 +7,11 @@ that may index a basis class: at most ``rows`` parts, each part at most
 eagerly by every operation here.
 
 General products are computed by expanding one factor into signed products
-of elementary classes (the transpose Jacobi-Trudi determinant, with zero
-entries pruned) and applying the Pieri rule for vertical strips one factor
-at a time.  The test suite checks the same coefficients against a
+of elementary classes and applying the Pieri rule for vertical strips one
+factor at a time.  The expansion of s_mu in e_1..e_rows is unique; it is
+read off by inverting the same Pieri rule, which is unitriangular
+(``schur_to_elementary``, which also rewrites the symmetric-power tables of
+``bundles``).  The test suite checks the product coefficients against a
 brute-force Littlewood-Richardson tableau enumeration written separately.
 """
 
@@ -125,36 +127,61 @@ def pieri_e(lam: Partition, p: int, box: Box) -> set[Partition]:
 
 
 @lru_cache(maxsize=None)
-def _signed_e_products(mu: Partition, max_e: int) -> tuple[tuple[Partition, int], ...]:
+def e_monomial_schur_expansion(cols: tuple[int, ...], k: int) -> dict[Partition, int]:
+    """Schur expansion of e_(cols[0]) * e_(cols[1]) * ... in k variables.
+
+    cols is the weakly decreasing tuple of elementary indices.  Each factor
+    adds one vertical strip; the column bound is the degree, so nothing is
+    truncated, and prefixes are shared through the cache.  Callers must
+    treat the result as read-only.
+    """
+    if not cols:
+        return {(): 1}
+    bound = sum(cols)
+    out: dict[Partition, int] = {}
+    for kappa, c in e_monomial_schur_expansion(cols[:-1], k).items():
+        for nu in _pieri(kappa, cols[-1], k, bound):
+            out[nu] = out.get(nu, 0) + c
+    return out
+
+
+def schur_to_elementary(schur: dict[Partition, int], k: int) -> dict[tuple[int, ...], int]:
+    """Rewrite a Schur expansion (shapes of at most k rows) in e1..ek.
+
+    Returns {(a1..ak): c} for c * e1^a1 * ... * ek^ak.  The lexicographically
+    greatest lam is peeled off first: e_(lam') = prod e_i^(lam_i - lam_(i+1))
+    is s_lam plus lex-smaller Schur terms, so subtracting c_lam e_(lam')
+    leaves only smaller shapes (Macdonald, ch. I.3).
+    """
+    work = {lam: c for lam, c in schur.items() if c}
+    if any(len(lam) > k for lam in work):
+        raise ValueError(f"a Schur polynomial in {k} variables has at most {k} rows")
+    out: dict[tuple[int, ...], int] = {}
+    while work:
+        lam = max(work)
+        c = work[lam]
+        padded = lam + (0,) * (k + 1 - len(lam))
+        out[tuple(padded[i] - padded[i + 1] for i in range(k))] = c
+        for nu, cnt in e_monomial_schur_expansion(conjugate(lam), k).items():
+            v = work.get(nu, 0) - c * cnt
+            if v:
+                work[nu] = v
+            elif nu in work:
+                del work[nu]
+    return out
+
+
+@lru_cache(maxsize=None)
+def _signed_e_products(mu: Partition, rows: int) -> tuple[tuple[Partition, int], ...]:
     """Expansion of the mu-indexed class into signed elementary products.
 
-    Returns pairs (sizes, coefficient) where sizes is a weakly decreasing
-    tuple of strip sizes.  Entries e_q with q > max_e vanish and prune the
-    determinant expansion early; e_0 factors are dropped.
+    Returns pairs (sizes, coefficient), sizes being the weakly decreasing
+    strip sizes of one e-monomial of s_mu in e_1..e_rows.
     """
-    mu_c = conjugate(mu)
-    m = len(mu_c)
-    if m == 0:
-        return (((), 1),)
-    acc: dict[Partition, int] = {}
-
-    def rec(row: int, used: int, sign: int, sizes: tuple[int, ...]) -> None:
-        if row == m:
-            key = tuple(sorted((s for s in sizes if s > 0), reverse=True))
-            acc[key] = acc.get(key, 0) + sign
-            return
-        for col in range(m):
-            bit = 1 << col
-            if used & bit:
-                continue
-            q = mu_c[row] - row + col
-            if q < 0 or q > max_e:
-                continue
-            inversions = bin(used >> (col + 1)).count("1")
-            rec(row + 1, used | bit, sign * (-1) ** inversions, sizes + (q,))
-
-    rec(0, 0, 1, ())
-    return tuple((k, v) for k, v in acc.items() if v)
+    return tuple(
+        (tuple(q for q in range(rows, 0, -1) for _ in range(a[q - 1])), c)
+        for a, c in schur_to_elementary({mu: 1}, rows).items()
+    )
 
 
 @lru_cache(maxsize=None)

@@ -15,11 +15,9 @@ Vandermonde alternant, f * a_delta = sum_lam c_lam a_(lam+delta), so
 
     c_lam = sum over sigma in S_k of sgn(sigma) f[lam + delta - sigma(delta)].
 
-Elementary coordinates follow by repeatedly taking the lexicographically
-greatest lam and subtracting c_lam e_(lam'), where
-e_(lam') = prod e_i^(lam_i - lam_(i+1)) is s_lam plus lex-smaller Schur
-terms; its Schur expansion is built one vertical strip at a time by the
-Pieri rule of the product kernel.
+Elementary coordinates follow from the Schur expansion by the Pieri
+inversion of the product kernel, ``partitions.schur_to_elementary``,
+which this module re-exports together with ``e_monomial_schur_expansion``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from math import factorial
 from typing import Iterator
 
 from .errors import NonSymmetricInputError
-from .partitions import Partition, _pieri, conjugate
+from .partitions import Partition, e_monomial_schur_expansion, schur_to_elementary
 
 XPoly = dict[tuple[int, ...], int]
 
@@ -200,43 +198,4 @@ def schur_coefficients(f: XPoly, k: int) -> dict[Partition, int]:
             c = schur_coefficient(f, lam, k)
             if c:
                 out[lam] = c
-    return out
-
-
-@lru_cache(maxsize=None)
-def e_monomial_schur_expansion(cols: tuple[int, ...], k: int) -> dict[Partition, int]:
-    """Schur expansion of e_(cols[0]) * e_(cols[1]) * ... in k variables.
-
-    cols is the weakly decreasing tuple of elementary indices.  Each factor
-    adds one vertical strip; the column bound is the degree, so nothing is
-    truncated, and prefixes are shared through the cache.  Callers must
-    treat the result as read-only.
-    """
-    if not cols:
-        return {(): 1}
-    bound = sum(cols)
-    out: dict[Partition, int] = {}
-    for kappa, c in e_monomial_schur_expansion(cols[:-1], k).items():
-        for nu in _pieri(kappa, cols[-1], k, bound):
-            out[nu] = out.get(nu, 0) + c
-    return out
-
-
-def schur_to_elementary(schur: dict[Partition, int], k: int) -> dict[tuple[int, ...], int]:
-    """Rewrite a Schur expansion (shapes of at most k rows) in e1..ek."""
-    work = {lam: c for lam, c in schur.items() if c}
-    if any(len(lam) > k for lam in work):
-        raise ValueError(f"a Schur polynomial in {k} variables has at most {k} rows")
-    out: dict[tuple[int, ...], int] = {}
-    while work:
-        lam = max(work)
-        c = work[lam]
-        padded = lam + (0,) * (k + 1 - len(lam))
-        out[tuple(padded[i] - padded[i + 1] for i in range(k))] = c
-        for nu, cnt in e_monomial_schur_expansion(conjugate(lam), k).items():
-            v = work.get(nu, 0) - c * cnt
-            if v:
-                work[nu] = v
-            elif nu in work:
-                del work[nu]
     return out

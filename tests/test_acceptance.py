@@ -250,3 +250,18 @@ def test_criterion_11_quintic_threefold_cross_check():
         ok = ok and res_direct.count_k + res_direct.count_l == total
         ok = ok and res_direct.identity_ok
     _report("11 quintic threefold: 2875 by both routes", ok)
+
+
+def test_criterion_12_wide_box_lines():
+    # Lines on a degree-47 hypersurface in P25 live in the 2 x 24 box, where
+    # the kernel multiplies shapes with up to 24 columns.  The counts were
+    # computed independently by localization (Bott's formula).
+    res = split(1, 25, 47, 23)
+    ok = integral(res.total) == (
+        1583153914759022599750970616982360190045055286274240832797571632737427744128505
+    )
+    ok = ok and (res.count_k, res.count_l) == (
+        789107911154261443963438709933876094043597407674675325284711241144391043415545,
+        794046003604761155787531907048484096001457878599565507512860391593036700712960,
+    )
+    _report("12 lines on a degree-47 hypersurface in P25: split 23 + 24", ok)

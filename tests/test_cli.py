@@ -1,6 +1,7 @@
 """Command-line interface: outputs, formats, exit codes."""
 
 import json
+import time
 
 import pytest
 
@@ -137,6 +138,28 @@ def test_class_json(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["class"] == [{"monomial": [1, 0, 0], "coeff": "4"}]
+
+
+def test_class_chern_above_the_rank_is_zero_without_work(capsys):
+    # c_i of an honest bundle vanishes above its rank; a huge i must not
+    # size the ring
+    started = time.perf_counter()
+    code, out, _ = run(
+        capsys,
+        "class", "--expr", "chern(100000000,Ustar)", "--r", "3", "--n", "5",
+        "--basis", "chern", "--format", "json",
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert json.loads(out)["class"] == []
+    for expr, r in (("chern(10,Ustar)", "3"), ("chern(7,sym(2,Ustar))", "1")):
+        code, out, _ = run(
+            capsys,
+            "class", "--expr", expr, "--r", r, "--n", "5", "--basis", "chern",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["class"] == []
 
 
 def test_expr_parser_errors():

@@ -6,6 +6,7 @@ import pytest
 
 from schubfire.partitions import (
     Box,
+    _signed_e_products,
     complement_in_box,
     conjugate,
     fits_box,
@@ -14,8 +15,9 @@ from schubfire.partitions import (
     normalize,
     pieri_e,
 )
+from schubfire.sympoly import elementary_x, poly_add, poly_mul
 
-from _oracles import lr_product
+from _oracles import lr_product, schur_x_jt
 
 
 def test_fits_box():
@@ -69,7 +71,7 @@ def test_lr_examples():
     }
 
 
-@pytest.mark.parametrize("rows,cols", [(2, 2), (3, 2), (2, 3), (3, 3)])
+@pytest.mark.parametrize("rows,cols", [(2, 2), (3, 2), (2, 3), (3, 3), (6, 2)])
 def test_lr_matches_tableau_oracle(rows, cols):
     box = Box(rows, cols)
     shapes = list(iter_box_partitions(box))
@@ -98,6 +100,49 @@ def test_lr_matches_tableau_oracle_production_box():
     for _ in range(25):
         lam, mu = rng.choice(shapes), rng.choice(shapes)
         assert lr_multiply(lam, mu, box) == lr_product(lam, mu, box.rows, box.cols)
+
+
+def test_lr_matches_tableau_oracle_wide_two_row_box():
+    # the two-row boxes of lines in large projective spaces (cold-kernel)
+    box = Box(2, 24)
+    shapes = [lam for lam in iter_box_partitions(box) if sum(lam) <= 24]
+    rng = random.Random(2024)
+    for _ in range(25):
+        lam, mu = rng.choice(shapes), rng.choice(shapes)
+        assert lr_multiply(lam, mu, box) == lr_product(lam, mu, box.rows, box.cols)
+
+
+def test_signed_e_products_give_jacobi_trudi_schur_polynomials():
+    # sum of c * prod e_q over the expansion of s_mu, evaluated in `rows`
+    # variables, against the determinant of complete homogeneous polynomials
+    for rows in (1, 2, 3):
+        for mu in iter_box_partitions(Box(rows, 8)):
+            if sum(mu) > 8:
+                continue
+            total = {}
+            for sizes, c in _signed_e_products(mu, rows):
+                prod = {(0,) * rows: c}
+                for q in sizes:
+                    prod = poly_mul(prod, elementary_x(q, rows))
+                total = poly_add(total, prod)
+            assert total == schur_x_jt(mu, rows), (mu, rows)
+
+
+def test_signed_e_products_round_trip_by_pieri():
+    for mu in iter_box_partitions(Box(2, 24)):
+        box = Box(2, sum(mu))
+        total = {}
+        for sizes, c in _signed_e_products(mu, box.rows):
+            assert list(sizes) == sorted(sizes, reverse=True) and 0 not in sizes
+            terms = {(): c}
+            for q in sizes:
+                nxt = {}
+                for kappa, m in terms.items():
+                    for nu in pieri_e(kappa, q, box):
+                        nxt[nu] = nxt.get(nu, 0) + m
+                terms = nxt
+            total = poly_add(total, terms)
+        assert total == {mu: 1}, mu
 
 
 def test_lr_commutative():

@@ -1,4 +1,4 @@
-"""Randomised invariants of the straightening and of schur_expand."""
+"""Randomised invariants: the straightening, schur_expand, and the Chow ring axioms."""
 
 import pytest
 
@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from schubfire.chow import GrassCtx, schur_expand
+from schubfire.chow import ChowClass, GrassCtx, schur_expand
 from schubfire.partitions import Box, iter_box_partitions
 from schubfire.sympoly import (
     elementary_x,
@@ -78,3 +78,45 @@ def symmetric_pairs(draw):
 def test_schur_expand_is_multiplicative(case):
     ctx, p, q = case
     assert schur_expand(poly_mul(p, q), ctx) == schur_expand(p, ctx) * schur_expand(q, ctx)
+
+
+# Boxes with at most 3 rows and 8 columns, and two-row boxes up to 12
+# columns (lines in P13).
+RING_CONTEXTS = [GrassCtx(1, 5), GrassCtx(1, 9), GrassCtx(1, 13), GrassCtx(2, 6), GrassCtx(2, 10)]
+
+
+@st.composite
+def chow_classes(draw):
+    ctx = draw(st.sampled_from(RING_CONTEXTS))
+    shapes = st.sampled_from(list(iter_box_partitions(ctx.box)))
+    return ctx, [ChowClass(ctx, draw(st.dictionaries(shapes, COEFFS, max_size=3))) for _ in range(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(chow_classes())
+def test_chow_products_are_commutative_associative_and_distributive(case):
+    ctx, (a, b, c) = case
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert ctx.one() * a == a == a * ctx.one()
+
+
+@st.composite
+def homogeneous_pairs(draw):
+    ctx = draw(st.sampled_from(RING_CONTEXTS))
+    shapes = list(iter_box_partitions(ctx.box))
+    p, q = draw(st.integers(0, ctx.dim)), draw(st.integers(0, ctx.dim))
+
+    def of_degree(deg):
+        pool = st.sampled_from([lam for lam in shapes if sum(lam) == deg])
+        return ChowClass(ctx, draw(st.dictionaries(pool, COEFFS, min_size=1, max_size=3)))
+
+    return p + q, of_degree(p), of_degree(q)
+
+
+@settings(max_examples=40, deadline=None)
+@given(homogeneous_pairs())
+def test_chow_products_are_graded(case):
+    degree, a, b = case
+    assert (a * b).degrees() <= {degree}
