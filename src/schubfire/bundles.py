@@ -38,6 +38,8 @@ from math import comb
 from typing import Any
 
 from . import sympoly
+from .chow import _Combination, render
+from .partitions import schur_to_elementary
 
 USTAR = "ustar"
 SYM = "sym"
@@ -170,7 +172,7 @@ def _sym_table(d: int, k: int, cap: int) -> tuple[dict, ...]:
                     series[t_deg], sympoly.poly_mul(series[t_deg - 1], root)
                 )
     return tuple(
-        sympoly.schur_to_elementary(sympoly.schur_coefficients(p, k), k) for p in series
+        schur_to_elementary(sympoly.schur_coefficients(p, k), k) for p in series
     )
 
 
@@ -217,10 +219,10 @@ def _weighted_degree(exps: tuple[int, ...]) -> int:
     return sum((i + 1) * a for i, a in enumerate(exps))
 
 
-class ChernPoly:
+class ChernPoly(_Combination):
     """Polynomial in the Chern generators, graded by weighted degree."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
 
     def __init__(self, ctx: ChernCtx, terms) -> None:
         clean: dict[tuple[int, ...], int] = {}
@@ -234,56 +236,11 @@ class ChernPoly:
         self.ctx = ctx
         self.terms = {e: c for e, c in clean.items() if c}
 
-    @classmethod
-    def _from_clean(cls, ctx: ChernCtx, terms: dict) -> "ChernPoly":
-        self = object.__new__(cls)
-        self.ctx = ctx
-        self.terms = terms
-        return self
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChernPoly):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other) -> "ChernPoly":
-        if not isinstance(other, ChernPoly) or other.ctx != self.ctx:
-            return NotImplemented
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        return ChernPoly._from_clean(self.ctx, out)
-
-    def __neg__(self) -> "ChernPoly":
-        return ChernPoly._from_clean(self.ctx, {e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other) -> "ChernPoly":
-        if not isinstance(other, ChernPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "ChernPoly":
-        if isinstance(other, int):
-            if other == 0:
-                return self.ctx.zero()
-            return ChernPoly._from_clean(
-                self.ctx, {e: other * c for e, c in self.terms.items()}
-            )
-        if not isinstance(other, ChernPoly) or other.ctx != self.ctx:
-            return NotImplemented
+    def _product(self, other_terms: dict) -> dict:
         cap = self.ctx.top_degree
         out: dict[tuple[int, ...], int] = {}
         for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
+            for eb, cb in other_terms.items():
                 key = tuple(x + y for x, y in zip(ea, eb))
                 if _weighted_degree(key) > cap:
                     continue
@@ -292,12 +249,7 @@ class ChernPoly:
                     out[key] = v
                 elif key in out:
                     del out[key]
-        return ChernPoly._from_clean(self.ctx, out)
-
-    def __rmul__(self, other) -> "ChernPoly":
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
+        return out
 
     def sorted_terms(self) -> list[tuple[tuple[int, ...], int]]:
         # graded, then lexicographically decreasing exponent vectors
@@ -312,49 +264,22 @@ class ChernPoly:
 
 def chern_string(p: ChernPoly) -> str:
     """Rendering like ``8*c1*c2*c3 - 8*c3^2`` in graded-lex term order."""
-    items = p.sorted_terms()
-    if not items:
-        return "0"
-    pieces = []
-    for exps, c in items:
-        factors = []
-        for i, a in enumerate(exps):
-            if a == 1:
-                factors.append(f"c{i + 1}")
-            elif a > 1:
-                factors.append(f"c{i + 1}^{a}")
-        mag = abs(c)
-        if not factors:
-            term = str(mag)
-        elif mag == 1:
-            term = "*".join(factors)
-        else:
-            term = str(mag) + "*" + "*".join(factors)
-        pieces.append(("-" if c < 0 else "+", term))
-    sign, first = pieces[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, term in pieces[1:]:
-        out += f" {sign} {term}"
-    return out
+    return render(
+        p.sorted_terms(),
+        lambda exps: [f"c{i + 1}" + (f"^{a}" if a > 1 else "") for i, a in enumerate(exps) if a],
+        False,
+    )
 
 
 def chern_latex(p: ChernPoly) -> str:
     """LaTeX in the style used by intersection-theory packages."""
-    items = p.sorted_terms()
-    if not items:
-        return "0"
-    out = ""
-    for exps, c in items:
-        factors = []
-        for i, a in enumerate(exps):
-            if a == 1:
-                factors.append(f"{{c_{i + 1}}}")
-            elif a > 1:
-                factors.append(f"{{c_{i + 1}}}^{{{a}}}")
-        mag = abs(c)
-        body = "\\,".join(([str(mag)] if (mag != 1 or not factors) else []) + factors)
-        out += ("-" if c < 0 else ("+" if out else "")) + body
-    return out
+    return render(
+        p.sorted_terms(),
+        lambda exps: [
+            f"{{c_{i + 1}}}" + (f"^{{{a}}}" if a > 1 else "") for i, a in enumerate(exps) if a
+        ],
+        True,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -390,8 +315,10 @@ class _MonomialEvaluator:
         return acc
 
 
-def _series_mul(a: list, b: list, ring) -> list:
-    cap = ring.top_degree
+def _series_mul(a: list, b: list, ring, cap: int | None = None) -> list:
+    """Product of two series, degrees 0..cap (the ring's top by default)."""
+    if cap is None:
+        cap = ring.top_degree
     out = [ring.zero() for _ in range(cap + 1)]
     for i, ai in enumerate(a):
         if not ai:
@@ -536,18 +463,7 @@ def segre(expr: BundleExpr, ring, max_degree: int | None = None) -> list:
         return [ring.pullback(c) for c in inner]
     if kind == DIFF:
         plus, minus = expr.children
-        s_plus = segre(plus, ring, max_degree=cap)
-        c_minus = total_chern(minus, ring)
-        out = [ring.zero() for _ in range(cap + 1)]
-        for i, si in enumerate(s_plus[: cap + 1]):
-            if not si:
-                continue
-            for j, cj in enumerate(c_minus):
-                if i + j > cap:
-                    break
-                if cj:
-                    out[i + j] = out[i + j] + si * cj
-        return out
+        return _series_mul(segre(plus, ring, max_degree=cap), total_chern(minus, ring), ring, cap)
     if kind == TWIST:
         child = expr.children[0]
         t = expr.twist_class

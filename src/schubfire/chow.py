@@ -10,6 +10,10 @@ degree above the dimension never exist.
 Coefficients are Python ints throughout: intermediate Chern-monomial
 coefficients reach the 10^4..10^5 range and symmetric-power tables grow
 fast, so fixed-width arithmetic is not an option.
+
+How an integer combination is stored, added and scaled
+(``_Combination``) and how it is printed (``render``) is defined here
+once; ``bundles.ChernPoly`` shares both for the Chern-monomial basis.
 """
 
 from __future__ import annotations
@@ -86,10 +90,79 @@ class GrassCtx:
         return out
 
 
-class ChowClass:
-    """An element of the Chow ring, immutable by convention."""
+class _Combination:
+    """A finitely supported integer combination of basis keys over a ring
+    context, immutable by convention.
+
+    This holds what every basis shares: sums, negation, integer multiples
+    and the context check.  A subclass validates its keys in ``__init__``
+    and supplies the ring product of two term dicts as ``_product``, the
+    printing order as ``sorted_terms``, and ``__repr__``.
+    """
 
     __slots__ = ("ctx", "terms")
+
+    @classmethod
+    def _from_clean(cls, ctx, terms: dict):
+        self = object.__new__(cls)
+        self.ctx = ctx
+        self.terms = terms
+        return self
+
+    def _check(self, other) -> None:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
+            raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
+
+    def __bool__(self) -> bool:
+        return bool(self.terms)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.ctx == other.ctx and self.terms == other.terms
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        out = dict(self.terms)
+        for key, c in other.terms.items():
+            v = out.get(key, 0) + c
+            if v:
+                out[key] = v
+            elif key in out:
+                del out[key]
+        return self._from_clean(self.ctx, out)
+
+    def __neg__(self):
+        return self._from_clean(self.ctx, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            terms = {key: other * c for key, c in self.terms.items()} if other else {}
+            return self._from_clean(self.ctx, terms)
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        self._check(other)
+        return self._from_clean(self.ctx, self._product(other.terms))
+
+    def __rmul__(self, other):
+        if isinstance(other, int):
+            return self * other
+        return NotImplemented
+
+
+class ChowClass(_Combination):
+    """An element of the Chow ring: {partition in the box: coefficient}."""
+
+    __slots__ = ()
 
     def __init__(self, ctx: GrassCtx, terms: Mapping):
         clean: dict[Partition, int] = {}
@@ -103,62 +176,11 @@ class ChowClass:
         self.ctx = ctx
         self.terms = {k: v for k, v in clean.items() if v}
 
-    @classmethod
-    def _from_clean(cls, ctx: GrassCtx, terms: dict) -> "ChowClass":
-        self = object.__new__(cls)
-        self.ctx = ctx
-        self.terms = terms
-        return self
-
-    def _check(self, other: "ChowClass") -> None:
-        if self.ctx != other.ctx:
-            raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self.ctx == other.ctx and self.terms == other.terms
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other) -> "ChowClass":
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        self._check(other)
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            v = out.get(lam, 0) + c
-            if v:
-                out[lam] = v
-            elif lam in out:
-                del out[lam]
-        return ChowClass._from_clean(self.ctx, out)
-
-    def __neg__(self) -> "ChowClass":
-        return ChowClass._from_clean(self.ctx, {l: -c for l, c in self.terms.items()})
-
-    def __sub__(self, other) -> "ChowClass":
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        return self + (-other)
-
-    def __mul__(self, other) -> "ChowClass":
-        if isinstance(other, int):
-            if other == 0:
-                return self.ctx.zero()
-            return ChowClass._from_clean(
-                self.ctx, {l: other * c for l, c in self.terms.items()}
-            )
-        if not isinstance(other, ChowClass):
-            return NotImplemented
-        self._check(other)
+    def _product(self, other_terms: dict) -> dict:
         rows, cols = self.ctx.box
         out: dict[Partition, int] = {}
         for lam, ca in self.terms.items():
-            for mu, cb in other.terms.items():
+            for mu, cb in other_terms.items():
                 c = ca * cb
                 # Decompose the factor with the narrower diagram: each
                 # e-monomial of s_mu has mu_1 factors, so it adds fewer
@@ -173,38 +195,16 @@ class ChowClass:
                         out[nu] = v
                     elif nu in out:
                         del out[nu]
-        return ChowClass._from_clean(self.ctx, out)
-
-    def __rmul__(self, other) -> "ChowClass":
-        if isinstance(other, int):
-            return self.__mul__(other)
-        return NotImplemented
+        return out
 
     def degrees(self) -> set[int]:
         return {weight(l) for l in self.terms}
-
-    def degree_part(self, p: int) -> "ChowClass":
-        return ChowClass._from_clean(
-            self.ctx, {l: c for l, c in self.terms.items() if weight(l) == p}
-        )
-
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
 
     def sorted_terms(self) -> list[tuple[Partition, int]]:
         return sorted(self.terms.items(), key=lambda kv: (weight(kv[0]), kv[0]))
 
     def __repr__(self) -> str:
         return f"ChowClass({self.ctx.r},{self.ctx.n}; {schubert_string(self)})"
-
-
-def chern_universal_dual(ctx: GrassCtx, i: int) -> ChowClass:
-    """c_i of the dual universal subbundle: the i-rows column class."""
-    if i < 0:
-        raise ValueError("Chern index must be nonnegative")
-    if i > ctx.k:
-        return ctx.zero()
-    return ctx.sigma((1,) * i)
 
 
 def integral(a: ChowClass) -> int:
@@ -260,22 +260,43 @@ def schur_expand(p: Mapping, ctx: GrassCtx) -> ChowClass:
     return ChowClass._from_clean(ctx, terms)
 
 
+def render(items, factors, latex: bool) -> str:
+    """Text or LaTeX of sorted (key, coefficient) terms.
+
+    ``factors(key)`` lists the symbols of one basis element, none for the
+    unit.  A coefficient of 1 is dropped unless it is the whole term.  Text
+    joins factors with ``*`` and terms with `` + ``/`` - ``; LaTeX joins
+    factors with a thin space and terms with ``+``/``-``.
+    """
+    sep = "\\," if latex else "*"
+    out = ""
+    for key, c in items:
+        syms = factors(key)
+        mag = abs(c)
+        body = sep.join(([str(mag)] if mag != 1 or not syms else []) + syms)
+        if latex:
+            out += ("-" if c < 0 else "+" if out else "") + body
+        elif out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = ("-" if c < 0 else "") + body
+    return out or "0"
+
+
 def schubert_string(a: ChowClass) -> str:
     """Deterministic rendering like ``8*s[3,2,1] - s[2]``."""
-    items = a.sorted_terms()
-    if not items:
-        return "0"
-    pieces = []
-    for lam, c in items:
-        body = "s[" + ",".join(str(p) for p in lam) + "]"
-        mag = abs(c)
-        term = body if mag == 1 else f"{mag}*{body}"
-        pieces.append(("-" if c < 0 else "+", term))
-    sign, first = pieces[0]
-    out = ("-" if sign == "-" else "") + first
-    for sign, term in pieces[1:]:
-        out += f" {sign} {term}"
-    return out
+    return render(a.sorted_terms(), lambda lam: [f"s[{_commas(lam)}]"] if lam else [], False)
+
+
+def schubert_latex(a: ChowClass) -> str:
+    """LaTeX like ``8\\,\\sigma_{3,2,1}-\\sigma_{2}``."""
+    return render(
+        a.sorted_terms(), lambda lam: [f"\\sigma_{{{_commas(lam)}}}"] if lam else [], True
+    )
+
+
+def _commas(lam: Partition) -> str:
+    return ",".join(str(p) for p in lam)
 
 
 def serialize_class(a: ChowClass) -> list[dict]:

@@ -25,7 +25,7 @@ import sys
 import time
 
 from . import bundles
-from .chow import GrassCtx, integral, schubert_string, serialize_class
+from .chow import GrassCtx, integral, schubert_latex, schubert_string, serialize_class
 from .errors import (
     ExprParseError,
     RankCapExceededError,
@@ -87,6 +87,11 @@ def _tokenize(src: str) -> list[str]:
     return out
 
 
+# Far beyond any real expression, and well inside Python's recursion limit
+# for the parser and the recursive evaluation that follows it.
+_MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, tokens: list[str]):
         self.tokens = tokens
@@ -110,7 +115,9 @@ class _Parser:
             raise ExprParseError(f"expected an integer, found {tok!r}")
         return int(tok)
 
-    def bundle(self) -> bundles.BundleExpr:
+    def bundle(self, depth: int = 1) -> bundles.BundleExpr:
+        if depth > _MAX_NESTING:
+            raise ExprParseError(f"expression nested deeper than {_MAX_NESTING} levels")
         tok = self.take()
         if tok == "Ustar":
             return bundles.ustar()
@@ -118,20 +125,20 @@ class _Parser:
             self.take("(")
             d = self.int_arg()
             self.take(",")
-            child = self.bundle()
+            child = self.bundle(depth + 1)
             self.take(")")
             return bundles.sym(d, child)
         if tok == "dual":
             self.take("(")
-            child = self.bundle()
+            child = self.bundle(depth + 1)
             self.take(")")
             return bundles.dual(child)
         if tok == "sum":
             self.take("(")
-            children = [self.bundle()]
+            children = [self.bundle(depth + 1)]
             while self.peek() == ",":
                 self.take(",")
-                children.append(self.bundle())
+                children.append(self.bundle(depth + 1))
             self.take(")")
             return bundles.direct_sum(*children)
         raise ExprParseError(f"unknown bundle constructor {tok!r}")
@@ -248,66 +255,41 @@ def cmd_split(args) -> int:
 
 def cmd_class(args) -> int:
     op, degree, expr = parse_class_expr(args.expr)
-    GrassCtx(args.r, args.n)  # validates the parameter range for both bases
+    grass = GrassCtx(args.r, args.n)  # validates the parameter range for both bases
     k = args.r + 1
     _guard_sym_ranks(expr, k)
+    rank = bundles.bundle_rank(expr, k)
+    if op == "ctop":
+        degree = rank
+    # The parser builds only honest bundles, whose Chern classes vanish
+    # above the rank, so chern(i, E) never needs a ring above it.
+    top = degree if op == "segre" else min(degree, rank)
+    ring = grass if args.basis == "schubert" else bundles.ChernCtx(k, top)
+    if degree > ring.top_degree or (op != "segre" and degree > rank):
+        value = ring.zero()
+    elif op == "segre":
+        value = bundles.segre(expr, ring, max_degree=degree)[degree]
+    else:
+        value = bundles.total_chern(expr, ring)[degree]
     record = {
         "params": {"r": args.r, "n": args.n},
         "expr": args.expr,
         "basis": args.basis,
     }
-    if args.basis == "chern":
-        rank = bundles.bundle_rank(expr, k)
-        # The parser builds only honest bundles, whose Chern classes vanish
-        # above the rank, so chern(i, E) never needs a ring above it.
-        cap = rank if op == "ctop" else min(degree, rank) if op == "chern" else degree
-        ring = bundles.ChernCtx(k, cap)
-        if op == "ctop":
-            value = bundles.total_chern(expr, ring)[rank]
-        elif op == "chern":
-            value = bundles.total_chern(expr, ring)[degree] if degree <= rank else ring.zero()
-        else:
-            value = bundles.segre(expr, ring, max_degree=degree)[degree]
+    if args.basis == "schubert":
+        record["class"] = serialize_class(value)
+        rendered = schubert_latex(value) if args.latex else schubert_string(value)
+    else:
         record["class"] = [
             {"monomial": list(exps), "coeff": str(c)}
             for exps, c in value.sorted_terms()
         ]
         rendered = bundles.chern_latex(value) if args.latex else bundles.chern_string(value)
-    else:
-        ctx = GrassCtx(args.r, args.n)
-        if op == "ctop":
-            rank = bundles.bundle_rank(expr, k)
-            series = bundles.total_chern(expr, ctx)
-            value = series[rank] if rank <= ctx.dim else ctx.zero()
-        elif op == "chern":
-            series = bundles.total_chern(expr, ctx)
-            value = series[degree] if degree <= ctx.dim else ctx.zero()
-        else:
-            value = (
-                bundles.segre(expr, ctx, max_degree=degree)[degree]
-                if degree <= ctx.dim
-                else ctx.zero()
-            )
-        record["class"] = serialize_class(value)
-        rendered = _schubert_latex(value) if args.latex else schubert_string(value)
     if args.format == "json":
         print(_dump_json(record))
     else:
         print(rendered)
     return 0
-
-
-def _schubert_latex(a) -> str:
-    items = a.sorted_terms()
-    if not items:
-        return "0"
-    out = ""
-    for lam, c in items:
-        mag = abs(c)
-        body = "\\sigma_{" + ",".join(str(p) for p in lam) + "}"
-        piece = (f"{mag}\\," if mag != 1 or not lam else "") + (body if lam else str(mag))
-        out += ("-" if c < 0 else ("+" if out else "")) + piece
-    return out
 
 
 def cmd_verify(args) -> int:

@@ -16,19 +16,18 @@ Vandermonde alternant, f * a_delta = sum_lam c_lam a_(lam+delta), so
     c_lam = sum over sigma in S_k of sgn(sigma) f[lam + delta - sigma(delta)].
 
 Elementary coordinates follow from the Schur expansion by the Pieri
-inversion of the product kernel, ``partitions.schur_to_elementary``,
-which this module re-exports together with ``e_monomial_schur_expansion``.
+inversion of the product kernel, ``partitions.schur_to_elementary``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import factorial
 from typing import Iterator
 
 from .errors import NonSymmetricInputError
-from .partitions import Partition, e_monomial_schur_expansion, schur_to_elementary
+from .partitions import Partition
 
 XPoly = dict[tuple[int, ...], int]
 
@@ -56,49 +55,6 @@ def poly_add(p: XPoly, q: XPoly) -> XPoly:
         elif e in out:
             del out[e]
     return out
-
-
-def poly_scale(p: XPoly, c: int) -> XPoly:
-    if c == 0:
-        return {}
-    return {e: c * v for e, v in p.items()}
-
-
-def elementary_x(i: int, k: int) -> XPoly:
-    """e_i(x1..xk) as an x-poly; zero for i > k."""
-    if i < 0 or i > k:
-        return {}
-    out: XPoly = {}
-    for chosen in combinations(range(k), i):
-        exps = [0] * k
-        for j in chosen:
-            exps[j] = 1
-        out[tuple(exps)] = 1
-    return out
-
-
-def complete_x(i: int, k: int) -> XPoly:
-    """h_i(x1..xk) as an x-poly."""
-    if i < 0:
-        return {}
-    from itertools import combinations_with_replacement
-
-    out: XPoly = {}
-    for chosen in combinations_with_replacement(range(k), i):
-        exps = [0] * k
-        for j in chosen:
-            exps[j] += 1
-        key = tuple(exps)
-        out[key] = out.get(key, 0) + 1
-    return out
-
-
-def monomial_sym_x(lam: tuple[int, ...], k: int) -> XPoly:
-    """m_lam(x1..xk): the orbit sum of x^lam."""
-    if len(lam) > k:
-        return {}
-    padded = tuple(lam) + (0,) * (k - len(lam))
-    return {w: 1 for w in set(permutations(padded))}
 
 
 def _distinct_perm_count(key: tuple[int, ...]) -> int:

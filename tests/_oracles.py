@@ -4,10 +4,12 @@ Nothing here shares code paths with the package: products of basis classes
 are counted by direct enumeration of lattice-word skew tableaux, and Schur
 polynomials are expanded through the determinant of complete homogeneous
 polynomials.  Agreement between these and the package's Pieri-based kernel
-is the main correctness evidence for the combinatorial core.
+is the main correctness evidence for the combinatorial core.  The small
+x-polynomial builders (elementary, complete and monomial symmetric
+polynomials, products and integer multiples) also make the tests' inputs.
 """
 
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations
 
 
 def lr_coefficient(lam, mu, nu):
@@ -95,8 +97,21 @@ def _box_shapes(rows, cols):
                 shapes.append(shape + (p,))
 
 
-def _hx(i, k):
-    """Complete homogeneous polynomial as an exponent-tuple dict."""
+def elementary_x(i, k):
+    """e_i(x1..xk) as an exponent-tuple dict; zero for i > k."""
+    if i < 0 or i > k:
+        return {}
+    out = {}
+    for chosen in combinations(range(k), i):
+        exps = [0] * k
+        for v in chosen:
+            exps[v] = 1
+        out[tuple(exps)] = 1
+    return out
+
+
+def complete_x(i, k):
+    """h_i(x1..xk) as an exponent-tuple dict."""
     if i < 0:
         return {}
     out = {}
@@ -109,13 +124,25 @@ def _hx(i, k):
     return out
 
 
-def _mul(p, q):
+def monomial_sym_x(lam, k):
+    """m_lam(x1..xk): the orbit sum of x^lam."""
+    if len(lam) > k:
+        return {}
+    padded = tuple(lam) + (0,) * (k - len(lam))
+    return {w: 1 for w in set(permutations(padded))}
+
+
+def poly_mul(p, q):
     out = {}
     for a, ca in p.items():
         for b, cb in q.items():
             key = tuple(x + y for x, y in zip(a, b))
             out[key] = out.get(key, 0) + ca * cb
     return {key: c for key, c in out.items() if c}
+
+
+def poly_scale(p, c):
+    return {key: c * v for key, v in p.items()} if c else {}
 
 
 def schur_x_jt(lam, k):
@@ -134,7 +161,7 @@ def schur_x_jt(lam, k):
         sign = -1 if inversions % 2 else 1
         prod = {(0,) * k: sign}
         for i in range(ell):
-            prod = _mul(prod, _hx(lam[i] - i - 1 + perm[i] + 1, k))
+            prod = poly_mul(prod, complete_x(lam[i] - i - 1 + perm[i] + 1, k))
             if not prod:
                 break
         for key, c in prod.items():

@@ -155,6 +155,24 @@ def test_segre_inverse_property():
             assert acc == g.zero(), (e, p)
 
 
+@pytest.mark.parametrize("ring", [GrassCtx(2, 5), ChernCtx(3, 6)], ids=["grass", "chern"])
+def test_segre_of_virtual_difference_inverts_its_chern_series(ring):
+    for diff in (
+        virtual_diff(sym(2, ustar()), ustar()),
+        virtual_diff(ustar(), dual(sym(2, ustar()))),
+        virtual_diff(direct_sum(ustar(), ustar()), sym(2, ustar())),
+    ):
+        c = total_chern(diff, ring)
+        s = segre(diff, ring)
+        assert len(s) == ring.top_degree + 1
+        for p in range(ring.top_degree + 1):
+            acc = ring.zero()
+            for i in range(p + 1):
+                acc = acc + c[i] * s[p - i]
+            assert acc == (ring.one() if p == 0 else ring.zero()), (diff, p)
+        assert segre(diff, ring, max_degree=2) == s[:3]
+
+
 def test_twist_zero_is_identity():
     g = GrassCtx(2, 5)
     e = sym(2, ustar())

@@ -7,7 +7,6 @@ import pytest
 from schubfire.chow import (
     ChowClass,
     GrassCtx,
-    chern_universal_dual,
     integral,
     schubert_string,
     schur_expand,
@@ -19,16 +18,9 @@ from schubfire.errors import (
     NonSymmetricInputError,
 )
 from schubfire.partitions import Box, complement_in_box, fits_box, iter_box_partitions, weight
-from schubfire.sympoly import (
-    complete_x,
-    elementary_x,
-    monomial_sym_x,
-    poly_add,
-    poly_mul,
-    poly_scale,
-)
+from schubfire.sympoly import poly_add
 
-from _oracles import schur_x_jt
+from _oracles import complete_x, elementary_x, monomial_sym_x, poly_mul, poly_scale, schur_x_jt
 
 
 @pytest.fixture
@@ -62,20 +54,22 @@ def test_mul_examples(g35):
     assert g35.sigma((1,)) * g35.sigma((2, 2, 2)) == g35.zero()
     # top-degree product of the Chern generators: in the 3x2 box the
     # shape (3,2,1) leaves the box, so z(xy - z) vanishes outright
-    x, y, z = (chern_universal_dual(g35, i) for i in (1, 2, 3))
+    x, y, z = g35.universal_dual_chern()[1:4]
     assert z * (x * y - z) == g35.zero()
     # while on a wider Grassmannian the same product is the (3,2,1) class
     g37 = GrassCtx(2, 6)
-    x, y, z = (chern_universal_dual(g37, i) for i in (1, 2, 3))
+    x, y, z = g37.universal_dual_chern()[1:4]
     assert z * (x * y - z) == g37.sigma((3, 2, 1))
 
 
 def test_chern_universal_dual(g35):
-    assert chern_universal_dual(g35, 0) == g35.one()
-    assert chern_universal_dual(g35, 1) == g35.sigma((1,))
-    assert chern_universal_dual(g35, g35.k + 1) == g35.zero()
-    with pytest.raises(ValueError):
-        chern_universal_dual(g35, -1)
+    # c_i of the dual universal subbundle is the i-row column class
+    c = g35.universal_dual_chern()
+    assert len(c) == g35.dim + 1
+    assert c[0] == g35.one()
+    assert c[1] == g35.sigma((1,))
+    assert c[g35.k] == g35.sigma((1,) * g35.k)
+    assert c[g35.k + 1] == g35.zero()
 
 
 def test_integral(g35):

@@ -175,6 +175,43 @@ def test_expr_parser_errors():
         parse_class_expr("ctop(sym(2,Ustar)) trailing")
 
 
+@pytest.mark.parametrize("basis", ["schubert", "chern"])
+@pytest.mark.parametrize("latex", [False, True])
+def test_class_unit_class_prints_1(capsys, basis, latex):
+    code, out, _ = run(
+        capsys,
+        "class", "--expr", "chern(0,sum(Ustar,Ustar))", "--r", "1", "--n", "5",
+        "--basis", basis, *(["--latex"] if latex else []),
+    )
+    assert code == 0
+    assert out == "1\n"
+
+
+@pytest.mark.parametrize(
+    "expr, expected",
+    [
+        ("segre(3,Ustar)", "-\\sigma_{3}"),
+        ("chern(2,sym(3,Ustar))", "21\\,\\sigma_{1,1}+11\\,\\sigma_{2}"),
+    ],
+)
+def test_class_schubert_latex(capsys, expr, expected):
+    code, out, _ = run(capsys, "class", "--expr", expr, "--r", "1", "--n", "5", "--latex")
+    assert code == 0
+    assert out.strip() == expected
+
+
+def test_class_nesting_is_bounded(capsys):
+    deep = "ctop(" + "dual(" * 3000 + "Ustar" + ")" * 3001
+    code, out, err = run(capsys, "class", "--expr", deep, "--r", "2", "--n", "5")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+    nested = "ctop(" + "dual(" * 50 + "Ustar" + ")" * 51
+    code, out, _ = run(capsys, "class", "--expr", nested, "--r", "2", "--n", "5")
+    assert code == 0
+    assert out.strip() == "s[1,1,1]"
+
+
 def test_verify_sweep(capsys):
     code, out, _ = run(
         capsys,

@@ -1,23 +1,21 @@
-"""Randomised invariants: the straightening, schur_expand, and the Chow ring axioms."""
+"""Randomised invariants: the straightening, schur_expand, the ring axioms of
+Chow classes and Chern polynomials, and the `class` command on random input."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from schubfire.bundles import ChernCtx, ChernPoly
 from schubfire.chow import ChowClass, GrassCtx, schur_expand
-from schubfire.partitions import Box, iter_box_partitions
-from schubfire.sympoly import (
-    elementary_x,
-    monomial_sym_x,
-    poly_add,
-    poly_mul,
-    poly_scale,
-    schur_coefficients,
-    schur_to_elementary,
-)
+from schubfire.cli import main
+from schubfire.errors import ContextMismatchError
+from schubfire.partitions import Box, iter_box_partitions, schur_to_elementary
+from schubfire.sympoly import poly_add, schur_coefficients
+
+from _oracles import elementary_x, monomial_sym_x, poly_mul, poly_scale
 
 COEFFS = st.integers(-5, 5).filter(bool)
 
@@ -120,3 +118,125 @@ def homogeneous_pairs(draw):
 def test_chow_products_are_graded(case):
     degree, a, b = case
     assert (a * b).degrees() <= {degree}
+
+
+# The free ring in c1..ck, truncated above its top degree.
+CHERN_CONTEXTS = [ChernCtx(k, top) for k in (1, 2, 3) for top in (0, 3, 5, 8)]
+
+
+def _chern_monomials(ctx):
+    return [e for e in _e_monomials(ctx.k, ctx.top_degree) if len(e) == ctx.k]
+
+
+@st.composite
+def chern_polys(draw):
+    ctx = draw(st.sampled_from(CHERN_CONTEXTS))
+    exps = st.sampled_from(_chern_monomials(ctx))
+    polys = [ChernPoly(ctx, draw(st.dictionaries(exps, COEFFS, max_size=4))) for _ in range(3)]
+    return ctx, polys
+
+
+@settings(max_examples=40, deadline=None)
+@given(chern_polys())
+def test_chern_products_are_commutative_associative_and_distributive(case):
+    ctx, (a, b, c) = case
+    assert a * b == b * a
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert ctx.one() * a == a == a * ctx.one()
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(chow_classes(), chern_polys()), st.integers(-3, 3))
+def test_sums_and_integer_multiples(case, m):
+    ctx, (a, b, c) = case
+    zero = ctx.zero()
+    assert a + b == b + a
+    assert (a + b) + c == a + (b + c)
+    assert a + zero == a and a - a == zero and not (a - a)
+    assert a - b == a + (-b) == a + (-1) * b
+    assert m * a == a * m == sum((a if m > 0 else -a for _ in range(abs(m))), zero)
+    assert m * (a + b) == m * a + m * b
+    for x in (a + b, a - b, m * a):  # no zero coefficient is ever stored
+        assert all(x.terms.values())
+
+
+@st.composite
+def foreign_pairs(draw):
+    pool = draw(st.sampled_from([RING_CONTEXTS, CHERN_CONTEXTS]))
+    first, second = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+    return first.one(), draw(st.sampled_from([second.zero(), second.one()]))
+
+
+@settings(max_examples=20, deadline=None)
+@given(foreign_pairs())
+def test_combining_different_contexts_is_refused(pair):
+    a, b = pair
+    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+        with pytest.raises(ContextMismatchError):
+            op()
+    assert a != b
+
+
+def test_chow_classes_and_chern_polynomials_do_not_mix():
+    a, p = GrassCtx(1, 3).one(), ChernCtx(2, 4).one()
+    for op in (lambda: a + p, lambda: p - a, lambda: a * p, lambda: p * a):
+        with pytest.raises(TypeError):
+            op()
+    assert a != p
+
+
+# CLI fuzzing: whatever the expression, `class` answers or fails with a
+# documented exit code.  The rank cap and the small degrees keep every
+# table small.
+ALPHABET = "ctopchernsegresymdualsumUstar(),(),(),01234 _x"
+FUZZ_ARGS = st.tuples(st.sampled_from(["1", "2"]), st.sampled_from(["4", "5"]))
+
+
+def _bundle_strategy():
+    leaf = st.just("Ustar")
+    return st.recursive(
+        leaf,
+        lambda inner: st.one_of(
+            st.builds("sym({},{})".format, st.integers(0, 3), inner),
+            st.builds("dual({})".format, inner),
+            st.lists(inner, min_size=1, max_size=2).map(lambda xs: f"sum({','.join(xs)})"),
+        ),
+        max_leaves=3,
+    )
+
+
+WELL_FORMED = st.one_of(
+    st.builds("ctop({})".format, _bundle_strategy()),
+    st.builds(
+        "{}({},{})".format,
+        st.sampled_from(["chern", "segre"]),
+        st.integers(0, 4),
+        _bundle_strategy(),
+    ),
+)
+
+
+def _run_class(monkeypatch, expr, r, n, basis):
+    monkeypatch.setenv("SCHUBFIRE_RANK_CAP", "10")
+    return main(["class", "--expr", expr, "--r", r, "--n", n, "--basis", basis])
+
+
+FUZZ_SETTINGS = dict(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@settings(max_examples=150, **FUZZ_SETTINGS)
+@given(st.text(ALPHABET, max_size=40), FUZZ_ARGS)
+def test_cli_random_strings_exit_cleanly(monkeypatch, capsys, expr, args):
+    assert _run_class(monkeypatch, expr, *args, "schubert") in (0, 2, 3)
+    capsys.readouterr()
+
+
+@settings(max_examples=60, **FUZZ_SETTINGS)
+@given(WELL_FORMED, FUZZ_ARGS, st.sampled_from(["schubert", "chern"]))
+def test_cli_well_formed_expressions_exit_cleanly(monkeypatch, capsys, expr, args, basis):
+    code = _run_class(monkeypatch, expr, *args, basis)
+    # sym(0, E) is refused as a usage error; everything else answers or
+    # hits the rank cap
+    assert code == 2 if "sym(0," in expr else code in (0, 3)
+    capsys.readouterr()
