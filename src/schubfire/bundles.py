@@ -4,12 +4,14 @@ Expressions are small trees: the dual universal subbundle, symmetric
 powers, duals, direct sums, line bundles and line twists, virtual
 differences, and pullbacks to a projective bundle.  Total Chern classes
 follow the splitting principle; symmetric powers go through a universal
-table, computed once per (power, rank, degree cap) by enumerating the
-Chern roots of the power, reading off the Schur coefficients of the
-elementary symmetric functions of those roots (``sympoly``), and rewriting
-them in the elementary generators of the base roots by the Pieri
-inversion that the product kernel also uses
-(``partitions.schur_to_elementary``).
+table, computed once per (power, rank, degree cap) by multiplying out the
+Chern roots of the power in place, on x-monomials packed into integers,
+reading off the Schur coefficients of the elementary symmetric functions
+of those roots (``sympoly``), and rewriting them in the elementary
+generators of the base roots by the Pieri inversion that the product
+kernel also uses (``partitions.schur_to_elementary``).  A table is
+evaluated in a ring one monomial at a time, each as a memoized shorter
+monomial times one generator.
 
 The Chern and Segre series of each Sym^m U* are computed once per ring
 and shared by every caller, so the direct and projective-bundle routes of
@@ -145,9 +147,10 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
     Entry i is c_i(Sym^d E) as an integer polynomial in c1..ck(E), encoded
     as {exponent tuple: coefficient}.  Computed by enumerating the
     comb(k+d-1, d) Chern roots (sums of d base roots with repetition),
-    expanding the product of (1 + root t), reading off the Schur
-    coefficients of each t-degree by the bialternant formula and
-    straightening them into the elementary generators by the Pieri rule.
+    expanding the product of (1 + root t) in place on x-monomials packed
+    into integers, reading off the Schur coefficients of each t-degree by
+    the bialternant formula and straightening them into the elementary
+    generators by the Pieri rule.
     Tables are memoized per (d, k, cap), where cap is the requested degree
     clipped to the rank of the power.
     """
@@ -160,20 +163,41 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
 
 @lru_cache(maxsize=None)
 def _sym_table(d: int, k: int, cap: int) -> tuple[dict, ...]:
-    series: list[sympoly.XPoly] = [{(0,) * k: 1}] + [{} for _ in range(cap)]
-    for multiset in combinations_with_replacement(range(k), d):
-        root: sympoly.XPoly = {}
+    # x-monomials are packed into one int, base B = cap + 1, slot i worth
+    # B**i: an exponent in degree t is at most t <= cap, so nothing
+    # carries and multiplying by x_i adds B**i.  Every root has positive
+    # multiplicities, so the degree-t part grows in place and never cancels.
+    base = cap + 1
+    series: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(cap)]
+    for n_roots, multiset in enumerate(combinations_with_replacement(range(k), d), 1):
+        root: dict[int, int] = {}
         for i in multiset:
-            key = tuple(int(j == i) for j in range(k))
-            root[key] = root.get(key, 0) + 1
-        for t_deg in range(cap, 0, -1):
-            if series[t_deg - 1]:
-                series[t_deg] = sympoly.poly_add(
-                    series[t_deg], sympoly.poly_mul(series[t_deg - 1], root)
-                )
+            root[base**i] = root.get(base**i, 0) + 1
+        for t_deg in range(min(cap, n_roots), 0, -1):
+            target, lower = series[t_deg], series[t_deg - 1].items()
+            get = target.get
+            for step, m in root.items():
+                if m == 1:
+                    for key, c in lower:
+                        key += step
+                        target[key] = get(key, 0) + c
+                else:
+                    for key, c in lower:
+                        key += step
+                        target[key] = get(key, 0) + c * m
     return tuple(
-        schur_to_elementary(sympoly.schur_coefficients(p, k), k) for p in series
+        schur_to_elementary(sympoly.schur_coefficients(_unpack(p, base, k), k), k)
+        for p in series
     )
+
+
+def _unpack(packed: dict[int, int], base: int, k: int) -> sympoly.XPoly:
+    """Exponent tuples of packed x-monomials, decoded one slot at a time."""
+    keys, slots = list(packed), []
+    for _ in range(k):
+        slots.append([key % base for key in keys])
+        keys = [key // base for key in keys]
+    return dict(zip(zip(*slots), packed.values()))
 
 
 # ---------------------------------------------------------------------------
@@ -287,31 +311,34 @@ def chern_latex(p: ChernPoly) -> str:
 
 
 class _MonomialEvaluator:
-    """Evaluates exponent-tuple polynomials in given ring elements."""
+    """Evaluates exponent-tuple polynomials in given ring elements.
+
+    Each monomial is memoized as its parent times one generator, the
+    parent being the same tuple with its last nonzero exponent lowered by
+    one, so monomials that share a prefix share its products.
+    """
 
     def __init__(self, gens, ring):
         self.gens = gens  # gens[i] is the (i+1)-st Chern class
         self.ring = ring
-        self._pows: dict[tuple[int, int], Any] = {}
+        self._monomials: dict[tuple[int, ...], Any] = {(0,) * len(gens): ring.one()}
 
-    def _power(self, i: int, a: int):
-        if a == 0:
-            return self.ring.one()
-        key = (i, a)
-        got = self._pows.get(key)
-        if got is None:
-            got = self._power(i, a - 1) * self.gens[i]
-            self._pows[key] = got
+    def _monomial(self, exps: tuple[int, ...]):
+        chain = []  # (monomial, generator index) down to a memoized one
+        while exps not in self._monomials:
+            i = max(j for j, a in enumerate(exps) if a)
+            chain.append((exps, i))
+            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
+        got = self._monomials[exps]
+        for exps, i in reversed(chain):
+            got = got * self.gens[i]
+            self._monomials[exps] = got
         return got
 
     def poly(self, table_entry: dict):
         acc = self.ring.zero()
         for exps, c in table_entry.items():
-            term = self.ring.one()
-            for i, a in enumerate(exps):
-                if a:
-                    term = term * self._power(i, a)
-            acc = acc + c * term
+            acc = acc + c * self._monomial(exps)
         return acc
 
 

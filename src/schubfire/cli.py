@@ -163,11 +163,12 @@ class _Parser:
 
 
 def _guard_sym_ranks(expr: bundles.BundleExpr, k: int) -> None:
-    """Applies the rank cap to every symmetric power in the expression."""
-    if expr.kind == bundles.SYM:
-        _guard(bundles.bundle_rank(expr, k), expr.power)
+    """Applies the rank cap to every symmetric power in the expression,
+    inner powers first, so each power's child has a bounded rank."""
     for child in expr.children:
         _guard_sym_ranks(child, k)
+    if expr.kind == bundles.SYM:
+        _guard(bundles.bundle_rank(expr.children[0], k), expr.power)
 
 
 def parse_class_expr(src: str):
@@ -185,8 +186,8 @@ def parse_class_expr(src: str):
 def cmd_count(args) -> int:
     started = _now_ms()
     ProblemParams(args.r, args.n, args.d)
+    total = total_class(args.r, args.n, args.d)  # guards the rank before any binomial
     m = expected_dim(args.r, args.n, args.d)
-    total = total_class(args.r, args.n, args.d)
     computed = _now_ms()
     empty = not total
     record = {

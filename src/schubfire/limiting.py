@@ -91,14 +91,20 @@ def rank_triple(r: int, d: int, k: int) -> RankTriple:
     return RankTriple(comb(r + d, d), comb(r + k, k), comb(r + d - k, d - k))
 
 
-def _guard(rank: int, d: int) -> None:
-    """Rejects a degree-d symmetric power whose rank is above the cap."""
+def _guard(e: int, d: int) -> None:
+    """Rejects Sym^d of a rank-e bundle if its rank comb(e+d-1, d) is above the
+    cap, stopping the growing partial products comb(big + j, j) at the first
+    one above it, so no rank with thousands of digits is ever formed."""
     cap = rank_cap()
-    if rank > cap:
-        raise RankCapExceededError(
-            f"rank of the degree-{d} symmetric power is {rank}, above the cap {cap} "
-            f"(override with {RANK_CAP_ENV})"
-        )
+    small, big = sorted((d, e - 1))
+    rank = 1
+    for j in range(1, small + 1):
+        rank = rank * (big + j) // j
+        if rank > cap:
+            raise RankCapExceededError(
+                f"rank of the degree-{d} symmetric power is above the cap {cap} "
+                f"(override with {RANK_CAP_ENV})"
+            )
 
 
 def expected_dim(r: int, n: int, d: int) -> int:
@@ -114,8 +120,8 @@ def _sym_ustar(m: int) -> bundles.BundleExpr:
 def total_class(r: int, n: int, d: int) -> ChowClass:
     """Class of the r-planes on a generic degree-d hypersurface in P^n."""
     ProblemParams(r, n, d)
+    _guard(r + 1, d)
     r_d = comb(r + d, d)
-    _guard(r_d, d)
     ctx = GrassCtx(r, n)
     if r_d > ctx.dim:
         return ctx.zero()
@@ -139,7 +145,7 @@ def sigma_direct(r: int, n: int, d: int, k: int) -> ChowClass:
     where i runs to R, j to min(r_l - 1, R - i), h to R - i - j.
     """
     ProblemParams(r, n, d, k)
-    _guard(comb(r + d, d), d)
+    _guard(r + 1, d)
     return _sigma_direct_cached(r, n, d, k)
 
 
@@ -192,7 +198,7 @@ def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:
     the top Chern class of Sym^k U*.
     """
     ProblemParams(r, n, d, k)
-    _guard(comb(r + d, d), d)
+    _guard(r + 1, d)
     from .projbundle import PBCtx, pushforward
 
     ctx = GrassCtx(r, n)
@@ -247,8 +253,8 @@ def split(r: int, n: int, d: int, k: int, route: str = "direct") -> SplitResult:
     if route not in ("direct", "pb", "both"):
         raise ValueError(f"unknown route {route!r}")
     l = d - k
+    total = total_class(r, n, d)  # guards the rank before any binomial
     m = expected_dim(r, n, d)
-    total = total_class(r, n, d)
     if route in ("direct", "both"):
         sk = sigma_direct(r, n, d, k)
         sl = sigma_direct(r, n, d, l)

@@ -32,31 +32,6 @@ from .partitions import Partition
 XPoly = dict[tuple[int, ...], int]
 
 
-def poly_mul(p: XPoly, q: XPoly) -> XPoly:
-    """Product of exponent-tuple dicts."""
-    out: XPoly = {}
-    for ea, ca in p.items():
-        for eb, cb in q.items():
-            key = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(key, 0) + ca * cb
-            if c:
-                out[key] = c
-            elif key in out:
-                del out[key]
-    return out
-
-
-def poly_add(p: XPoly, q: XPoly) -> XPoly:
-    out = dict(p)
-    for e, c in q.items():
-        v = out.get(e, 0) + c
-        if v:
-            out[e] = v
-        elif e in out:
-            del out[e]
-    return out
-
-
 def _distinct_perm_count(key: tuple[int, ...]) -> int:
     mult: dict[int, int] = {}
     for v in key:

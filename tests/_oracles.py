@@ -141,6 +141,13 @@ def poly_mul(p, q):
     return {key: c for key, c in out.items() if c}
 
 
+def poly_add(p, q):
+    out = dict(p)
+    for key, c in q.items():
+        out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
 def poly_scale(p, c):
     return {key: c * v for key, v in p.items()} if c else {}
 

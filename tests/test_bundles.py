@@ -1,5 +1,6 @@
 """Splitting-principle Chern/Segre calculus and the symmetric-power tables."""
 
+import hashlib
 from math import comb
 
 import pytest
@@ -78,6 +79,35 @@ def test_sym_table_cache_extension():
     full = sym_chern(3, 2)
     assert len(full) == comb(4, 3) + 1
     assert list(full[:3]) == list(small)
+
+
+def _table_digest(table):
+    return hashlib.sha256(repr([sorted(entry.items()) for entry in table]).encode()).hexdigest()
+
+
+# sha256 of each table as built by the tuple-keyed root product before the
+# packed one replaced it.  (3,2,3), (3,4,10), (3,4,16) and (6,3,21) ask for
+# fewer degrees than the rank, (2,5,20) for more; in (1,1,1), (2,2,2) and
+# (3,2,3) an exponent of the top degree equals the cap, the largest digit of
+# the packing base.
+PINNED_TABLES = {
+    (1, 1, 1): "4670c749a212a57d7e0262b56b5862f052f503dc9560559582a01ff174c433d0",
+    (1, 4, 4): "b40dd03a9034ef4982683c05cbdf1c2f648179ce3c77d0407d1e7efffad45f5f",
+    (2, 2, 2): "92dec1f9879928f1ee50b235375b66bfaf1d1e11541f0e022723312c6f35898d",
+    (2, 2, 3): "5418271921b81689a23efeef612e3e0d80a0761d7c2ef38235248a819ee645a9",
+    (3, 2, 3): "8bd8d236c2c9371121acc9a5afefd7653cacc60261a815372e759f72a2b6eda5",
+    (3, 4, 10): "9517022337e653f9c073a25f11272e578f5df3900ebf440d4b55d0861e91c813",
+    (3, 4, 16): "da1bfcde24e6c138f4ae9f41970a48e9be7f8d216323603dcb9f56d7d2245732",
+    (3, 4, 20): "21a68a923c3cf14c1f27526cd301938fe2e24c38245d67f831accaefc01935f2",
+    (6, 3, 21): "d89ac8e7c7d394ee25b4751c77297ce18bbcf4c34d8b71e11e54917af13cc7ee",
+    (2, 5, 20): "7044d117b9f2d67e8bb279ef1cdb4b208236937c4b7284ee4cd1a52a47e34bb8",
+    (47, 2, 48): "e52eb761b060a85aeae615812ceb6ab529f72b6d7fb3d34281bc88f282ef358b",
+}
+
+
+@pytest.mark.parametrize("d,k,cap", sorted(PINNED_TABLES))
+def test_sym_table_is_pinned(d, k, cap):
+    assert _table_digest(sym_chern(d, k, cap)) == PINNED_TABLES[d, k, cap]
 
 
 def test_total_chern_universal_dual():
@@ -236,12 +266,15 @@ def test_sym_chern_agrees_with_root_polynomial_straightening():
     # table route (Schur coefficients, Pieri straightening into c1..ck,
     # evaluation by Chow products) class by class.  Both share the
     # bialternant read-off, which test_chow checks against Jacobi-Trudi.
+    # The root product here keys monomials by exponent tuples, independently
+    # of the packed integers of the table.
     from itertools import combinations_with_replacement
 
     from schubfire.chow import schur_expand
-    from schubfire.sympoly import poly_add, poly_mul
 
-    for (r, n, d) in [(1, 3, 2), (1, 3, 3), (2, 4, 2), (2, 5, 2)]:
+    from _oracles import poly_add, poly_mul
+
+    for (r, n, d) in [(1, 3, 2), (1, 3, 3), (2, 4, 2), (2, 5, 2), (3, 8, 3), (2, 9, 5)]:
         g = GrassCtx(r, n)
         k = g.k
         zero_key = (0,) * k

@@ -18,9 +18,16 @@ from schubfire.errors import (
     NonSymmetricInputError,
 )
 from schubfire.partitions import Box, complement_in_box, fits_box, iter_box_partitions, weight
-from schubfire.sympoly import poly_add
 
-from _oracles import complete_x, elementary_x, monomial_sym_x, poly_mul, poly_scale, schur_x_jt
+from _oracles import (
+    complete_x,
+    elementary_x,
+    monomial_sym_x,
+    poly_add,
+    poly_mul,
+    poly_scale,
+    schur_x_jt,
+)
 
 
 @pytest.fixture

@@ -297,3 +297,36 @@ def test_class_applies_the_rank_cap(monkeypatch, capsys, expr, basis):
     assert code == 3
     assert "cap" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("power", ["9999", "99999"])
+def test_class_nested_huge_powers_exit_3_fast(capsys, power):
+    # the inner power is checked first, and no binomial with thousands of
+    # digits is formed or printed
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, "class", "--expr", f"ctop(sym({power},sym({power},Ustar)))",
+        "--r", "2", "--n", "5",
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert err.startswith("error:") and out == ""
+
+
+def test_class_rank_cap_names_the_inner_power(capsys):
+    code, _, err = run(
+        capsys, "class", "--expr", "ctop(sym(2,sym(99999,Ustar)))", "--r", "2", "--n", "5"
+    )
+    assert code == 3
+    assert "degree-99999 symmetric power" in err
+
+
+@pytest.mark.parametrize("command", [["count"], ["split", "--k", "1"]])
+def test_huge_degree_and_dimension_exit_3_fast(capsys, command):
+    started = time.perf_counter()
+    code, out, err = run(
+        capsys, *command, "--r", "99999", "--n", "100000", "--d", "99999"
+    )
+    assert time.perf_counter() - started < 1.0
+    assert code == 3
+    assert err.startswith("error:") and out == ""

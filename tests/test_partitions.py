@@ -15,9 +15,8 @@ from schubfire.partitions import (
     normalize,
     pieri_e,
 )
-from schubfire.sympoly import poly_add
 
-from _oracles import elementary_x, lr_product, poly_mul, schur_x_jt
+from _oracles import elementary_x, lr_product, poly_add, poly_mul, schur_x_jt
 
 
 def test_fits_box():

@@ -1,5 +1,6 @@
 """Randomised invariants: the straightening, schur_expand, the ring axioms of
-Chow classes and Chern polynomials, and the `class` command on random input."""
+Chow classes and Chern polynomials, the evaluation of e-polynomials in a
+ring, and the `class` command on random input."""
 
 import pytest
 
@@ -8,14 +9,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from schubfire.bundles import ChernCtx, ChernPoly
+from schubfire.bundles import ChernCtx, ChernPoly, _MonomialEvaluator
 from schubfire.chow import ChowClass, GrassCtx, schur_expand
 from schubfire.cli import main
 from schubfire.errors import ContextMismatchError
 from schubfire.partitions import Box, iter_box_partitions, schur_to_elementary
-from schubfire.sympoly import poly_add, schur_coefficients
+from schubfire.sympoly import schur_coefficients
 
-from _oracles import elementary_x, monomial_sym_x, poly_mul, poly_scale
+from _oracles import elementary_x, monomial_sym_x, poly_add, poly_mul, poly_scale
 
 COEFFS = st.integers(-5, 5).filter(bool)
 
@@ -144,6 +145,42 @@ def test_chern_products_are_commutative_associative_and_distributive(case):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert ctx.one() * a == a == a * ctx.one()
+
+
+# Evaluation of e-polynomials, as the symmetric-power tables are evaluated:
+# one evaluator with shared monomial prefixes against term-by-term powers.
+EVAL_CONTEXTS = [GrassCtx(1, 4), GrassCtx(1, 7), GrassCtx(2, 5), GrassCtx(2, 8)] + CHERN_CONTEXTS
+
+
+@st.composite
+def e_polynomials_and_gens(draw):
+    ring = draw(st.sampled_from(EVAL_CONTEXTS))
+    k = draw(st.integers(1, 3))
+    if isinstance(ring, ChernCtx):
+        basis, cls = _chern_monomials(ring), ChernPoly
+    else:
+        basis, cls = list(iter_box_partitions(ring.box)), ChowClass
+    keys = st.sampled_from(basis)
+    gens = [cls(ring, draw(st.dictionaries(keys, COEFFS, max_size=2))) for _ in range(k)]
+    monomials = st.sampled_from(_e_monomials(k, min(ring.top_degree, 8)))
+    polys = draw(st.lists(st.dictionaries(monomials, COEFFS, max_size=4), max_size=3))
+    return ring, gens, polys
+
+
+@settings(max_examples=60, deadline=None)
+@given(e_polynomials_and_gens())
+def test_monomial_evaluator_matches_term_by_term_evaluation(case):
+    ring, gens, polys = case
+    evaluator = _MonomialEvaluator(gens, ring)
+    for poly in polys:
+        naive = ring.zero()
+        for exps, c in poly.items():
+            term = ring.one()
+            for g, a in zip(gens, exps):
+                for _ in range(a):
+                    term = term * g
+            naive = naive + c * term
+        assert evaluator.poly(poly) == naive
 
 
 @settings(max_examples=40, deadline=None)

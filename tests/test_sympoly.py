@@ -4,9 +4,17 @@ import pytest
 
 from schubfire.errors import NonSymmetricInputError
 from schubfire.partitions import e_monomial_schur_expansion, schur_to_elementary
-from schubfire.sympoly import poly_add, schur_coefficient, schur_coefficients, x_to_m
+from schubfire.sympoly import schur_coefficient, schur_coefficients, x_to_m
 
-from _oracles import complete_x, elementary_x, monomial_sym_x, poly_mul, poly_scale, schur_x_jt
+from _oracles import (
+    complete_x,
+    elementary_x,
+    monomial_sym_x,
+    poly_add,
+    poly_mul,
+    poly_scale,
+    schur_x_jt,
+)
 
 
 def test_elementary_and_complete():
