@@ -12,9 +12,9 @@ degrees k and l = d-k, the planes that survive as limits split into those
 lying in the degree-k component and those in the degree-l component.  Each
 part has a class of its own, computed here two ways:
 
-* ``sigma_direct`` evaluates a closed triple sum in the Chern and Segre
-  classes of Sym^d, Sym^k and Sym^l of the dual universal subbundle,
-  entirely on the Grassmannian;
+* ``sigma_direct`` evaluates the paper's triple sum in the Chern and Segre
+  classes of Sym^d, Sym^k and Sym^l of the dual universal subbundle, on the
+  Grassmannian, after collapsing it through c(E) s(E) = 1;
 * ``sigma_pb`` builds the projective bundle P(Sym^l U*), takes top Chern
   classes of the two quotient bundles cutting out the locus there, pushes
   forward, and multiplies by the top Chern class of Sym^k U*.
@@ -136,13 +136,23 @@ def is_generically_empty(r: int, n: int, d: int) -> bool:
 def sigma_direct(r: int, n: int, d: int, k: int) -> ChowClass:
     """Class of limiting r-planes in the degree-k component, computed on G.
 
-    Evaluates, with R = r_d - r_k,
+    The paper's formula is, with R = r_d - r_k,
 
         c_(r_k)(Sym^k U*) * sum over i, j, h of
             C(r_d-1-i, r_k-1+h)
             c_i(Sym^d U*) c_j(Sym^l U*) s_h(Sym^k U*) s_(R-i-j-h)(Sym^l U*)
 
-    where i runs to R, j to min(r_l - 1, R - i), h to R - i - j.
+    where i runs to R, j to min(r_l - 1, R - i), h to R - i - j.  Since
+    c(E) s(E) = 1 for E = Sym^l U* and c_j(E) = 0 for j > r_l, the sum over
+    j of c_j(E) s_(p-j)(E) is 1 at p = 0, zero for 0 < p < r_l and
+    -c_(r_l)(E) s_(p-r_l)(E) for p >= r_l; at p = 0, h = R - i and the
+    binomial is 1.  So, with Q = R - r_l, the class evaluated here is
+
+        c_(r_k)(Sym^k U*) * ( sum over i of c_i(Sym^d U*) s_(R-i)(Sym^k U*)
+            - c_(r_l)(E) * sum over i + h <= Q of C(r_d-1-i, r_k-1+h)
+                c_i(Sym^d U*) s_h(Sym^k U*) s_(Q-i-h)(E) ),
+
+    whose second term is absent when Q < 0 (always, on lines).
     """
     ProblemParams(r, n, d, k)
     _guard(r + 1, d)
@@ -157,35 +167,30 @@ def _sigma_direct_cached(r: int, n: int, d: int, k: int) -> ChowClass:
     if r_d > ctx.dim or r_k > ctx.dim:
         return ctx.zero()
     R = r_d - r_k
+    Q = R - r_l
     prefactor = bundles.total_chern(_sym_ustar(k), ctx)[r_k]
     if not prefactor:
         return ctx.zero()
     cd = bundles.total_chern(_sym_ustar(d), ctx)
-    cl = bundles.total_chern(_sym_ustar(l), ctx)
     sk = bundles.segre(_sym_ustar(k), ctx, max_degree=R)
-    sl = bundles.segre(_sym_ustar(l), ctx, max_degree=R)
-
-    # Inner convolution over j, hoisted: W[p] = sum_j c_j(Sym^l) s_(p-j)(Sym^l)
-    W = []
-    for p in range(R + 1):
-        acc = ctx.zero()
-        for j in range(0, min(r_l - 1, p) + 1):
-            if cl[j] and sl[p - j]:
-                acc = acc + cl[j] * sl[p - j]
-        W.append(acc)
-
     total = ctx.zero()
     for i in range(R + 1):
+        if cd[i] and sk[R - i]:
+            total = total + cd[i] * sk[R - i]
+    if Q < 0:
+        return prefactor * total
+    sl = bundles.segre(_sym_ustar(l), ctx, max_degree=Q)
+    rest = ctx.zero()
+    for i in range(Q + 1):
         if not cd[i]:
             continue
         inner = ctx.zero()
-        for h in range(R - i + 1):
-            coeff = comb(r_d - 1 - i, r_k - 1 + h)
-            if coeff and sk[h] and W[R - i - h]:
-                inner = inner + coeff * (sk[h] * W[R - i - h])
+        for h in range(Q - i + 1):  # the binomial is positive for h <= Q - i
+            if sk[h] and sl[Q - i - h]:
+                inner = inner + comb(r_d - 1 - i, r_k - 1 + h) * (sk[h] * sl[Q - i - h])
         if inner:
-            total = total + cd[i] * inner
-    return prefactor * total
+            rest = rest + cd[i] * inner
+    return prefactor * (total - bundles.total_chern(_sym_ustar(l), ctx)[r_l] * rest)
 
 
 def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:

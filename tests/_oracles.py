@@ -7,9 +7,19 @@ polynomials.  Agreement between these and the package's Pieri-based kernel
 is the main correctness evidence for the combinatorial core.  The small
 x-polynomial builders (elementary, complete and monomial symmetric
 polynomials, products and integer multiples) also make the tests' inputs.
+
+The one exception is ``sigma_triple_sum``: it evaluates the paper's split
+formula term by term on the package's Chern and Segre series, so agreement
+with ``limiting.sigma_direct`` checks how that function collapses the sum,
+not the series themselves.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
+from math import comb
+
+from schubfire import bundles
+from schubfire.chow import GrassCtx
+from schubfire.limiting import rank_triple
 
 
 def lr_coefficient(lam, mu, nu):
@@ -174,3 +184,47 @@ def schur_x_jt(lam, k):
         for key, c in prod.items():
             acc[key] = acc.get(key, 0) + c
     return {key: c for key, c in acc.items() if c}
+
+
+def sigma_triple_sum(r, n, d, k):
+    """sigma_k by the uncollapsed triple sum of ``limiting.sigma_direct``'s
+    docstring, with the sum over j hoisted into W[p] but not simplified."""
+    ctx = GrassCtx(r, n)
+    l = d - k
+    r_d, r_k, r_l = rank_triple(r, d, k)
+    if r_d > ctx.dim or r_k > ctx.dim:
+        return ctx.zero()
+    R = r_d - r_k
+
+    def sym_ustar(m):
+        return bundles.sym(m, bundles.ustar())
+
+    prefactor = bundles.total_chern(sym_ustar(k), ctx)[r_k]
+    if not prefactor:
+        return ctx.zero()
+    cd = bundles.total_chern(sym_ustar(d), ctx)
+    cl = bundles.total_chern(sym_ustar(l), ctx)
+    sk = bundles.segre(sym_ustar(k), ctx, max_degree=R)
+    sl = bundles.segre(sym_ustar(l), ctx, max_degree=R)
+
+    # Inner convolution over j, hoisted: W[p] = sum_j c_j(Sym^l) s_(p-j)(Sym^l)
+    W = []
+    for p in range(R + 1):
+        acc = ctx.zero()
+        for j in range(0, min(r_l - 1, p) + 1):
+            if cl[j] and sl[p - j]:
+                acc = acc + cl[j] * sl[p - j]
+        W.append(acc)
+
+    total = ctx.zero()
+    for i in range(R + 1):
+        if not cd[i]:
+            continue
+        inner = ctx.zero()
+        for h in range(R - i + 1):
+            coeff = comb(r_d - 1 - i, r_k - 1 + h)
+            if coeff and sk[h] and W[R - i - h]:
+                inner = inner + coeff * (sk[h] * W[R - i - h])
+        if inner:
+            total = total + cd[i] * inner
+    return prefactor * total

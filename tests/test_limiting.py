@@ -5,18 +5,22 @@ from math import comb
 import pytest
 
 from schubfire.bundles import segre, sym, total_chern, ustar
-from schubfire.chow import GrassCtx, integral, schubert_string
+from schubfire.chow import ChowClass, GrassCtx, integral, schubert_string
 from schubfire.errors import RankCapExceededError
 from schubfire.limiting import (
     ProblemParams,
     expected_dim,
     is_generically_empty,
+    rank_cap,
+    rank_triple,
     sigma_direct,
     sigma_pb,
     split,
     total_class,
     verify_identity,
 )
+
+from _oracles import sigma_triple_sum
 
 
 def test_params_validation():
@@ -224,3 +228,56 @@ def test_split_does_not_depend_on_which_side_comes_first(clear_caches, r, n, d, 
         second.sigma_l,
         second.sigma_k,
     )
+
+
+# Every split point with r <= 3, n <= 9, d <= 4 whose ranks are within the cap.
+TRIPLE_SUM_GRID = [
+    (r, n, d, k)
+    for r in range(4)
+    for n in range(r + 1, 10)
+    for d in range(2, 5)
+    for k in range(1, d)
+    if max(rank_triple(r, d, k)) <= rank_cap()
+]
+
+
+def _regimes(r, n, d, k):
+    r_d, r_k, r_l = rank_triple(r, d, k)
+    q = r_d - r_k - r_l
+    m = expected_dim(r, n, d)
+    return {
+        "Q>0": q > 0 and r_d <= (r + 1) * (n - r),
+        "Q=0": q == 0 and r_d <= (r + 1) * (n - r),
+        "Q<0": q < 0,
+        "k=l": 2 * k == d,
+        "m>0": m > 0,
+        "m<0": m < 0,
+        "r=0": r == 0,
+    }
+
+
+def test_triple_sum_grid_covers_every_regime():
+    seen = {name for point in TRIPLE_SUM_GRID for name, hit in _regimes(*point).items() if hit}
+    assert seen == {"Q>0", "Q=0", "Q<0", "k=l", "m>0", "m<0", "r=0"}
+
+
+@pytest.mark.parametrize("r,n,d,k", TRIPLE_SUM_GRID)
+def test_sigma_direct_equals_the_uncollapsed_triple_sum(r, n, d, k):
+    assert sigma_direct(r, n, d, k) == sigma_triple_sum(r, n, d, k)
+
+
+@pytest.mark.parametrize("r,n,d,k,bound", [(3, 8, 3, 1, 300), (1, 25, 47, 23, 1200)])
+def test_sigma_direct_product_count(clear_caches, monkeypatch, r, n, d, k, bound):
+    # Products of Chow classes, not seconds: the uncollapsed sum took 432
+    # and 1672 products for both sides of these two problems.
+    total_class(r, n, d)
+    product, calls = ChowClass._product, []
+
+    def counted(self, other_terms):
+        calls.append(None)
+        return product(self, other_terms)
+
+    monkeypatch.setattr(ChowClass, "_product", counted)
+    sigma_direct(r, n, d, k)
+    sigma_direct(r, n, d, d - k)
+    assert 0 < len(calls) <= bound

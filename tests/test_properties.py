@@ -1,22 +1,32 @@
 """Randomised invariants: the straightening, schur_expand, the ring axioms of
 Chow classes and Chern polynomials, the evaluation of e-polynomials in a
-ring, and the `class` command on random input."""
+ring, c(E) s(E) = 1 and the Whitney formula, the collapsed split formula
+against the paper's triple sum, and the `class` command on random input."""
 
 import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from schubfire import bundles
 from schubfire.bundles import ChernCtx, ChernPoly, _MonomialEvaluator
 from schubfire.chow import ChowClass, GrassCtx, schur_expand
 from schubfire.cli import main
 from schubfire.errors import ContextMismatchError
+from schubfire.limiting import sigma_direct
 from schubfire.partitions import Box, iter_box_partitions, schur_to_elementary
 from schubfire.sympoly import schur_coefficients
 
-from _oracles import elementary_x, monomial_sym_x, poly_add, poly_mul, poly_scale
+from _oracles import (
+    elementary_x,
+    monomial_sym_x,
+    poly_add,
+    poly_mul,
+    poly_scale,
+    sigma_triple_sum,
+)
 
 COEFFS = st.integers(-5, 5).filter(bool)
 
@@ -221,6 +231,79 @@ def test_chow_classes_and_chern_polynomials_do_not_mix():
         with pytest.raises(TypeError):
             op()
     assert a != p
+
+
+def _convolve(a, b, ring):
+    """Product of two Chern series, term by term, up to the ring's top degree."""
+    out = []
+    for p in range(ring.top_degree + 1):
+        acc = ring.zero()
+        for i in range(p + 1):
+            acc = acc + a[i] * b[p - i]
+        out.append(acc)
+    return out
+
+
+@st.composite
+def rings(draw):
+    if draw(st.booleans()):
+        r = draw(st.integers(0, 3))
+        return GrassCtx(r, draw(st.integers(r + 1, 8)))
+    return ChernCtx(draw(st.integers(1, 3)), draw(st.integers(0, 8)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(rings(), st.integers(1, 3))
+def test_chern_times_segre_of_sym_ustar_is_one(ring, m):
+    # sigma_direct collapses its sum over j with this identity
+    e = bundles.sym(m, bundles.ustar())
+    one = [ring.one()] + [ring.zero()] * ring.top_degree
+    assert _convolve(bundles.total_chern(e, ring), bundles.segre(e, ring), ring) == one
+
+
+WHITNEY_RINGS = [GrassCtx(1, 4), GrassCtx(2, 5), ChernCtx(2, 5), ChernCtx(3, 6)]
+
+
+def _small_bundles():
+    return st.recursive(
+        st.just(bundles.ustar()),
+        lambda inner: st.one_of(
+            st.builds(bundles.sym, st.integers(1, 2), inner),
+            st.builds(bundles.dual, inner),
+            st.lists(inner, min_size=1, max_size=2).map(lambda xs: bundles.direct_sum(*xs)),
+        ),
+        max_leaves=2,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WHITNEY_RINGS), _small_bundles(), _small_bundles())
+def test_whitney_formula_on_random_bundles(ring, e, f):
+    assume(bundles.bundle_rank(e, ring.universal_rank) <= 12)
+    assume(bundles.bundle_rank(f, ring.universal_rank) <= 12)
+    c = bundles.total_chern
+    assert c(bundles.direct_sum(e, f), ring) == _convolve(c(e, ring), c(f, ring), ring)
+    assert c(bundles.dual(bundles.direct_sum(e, f)), ring) == _convolve(
+        c(bundles.dual(e), ring), c(bundles.dual(f), ring), ring
+    )
+    # Sym^2(E + L) = Sym^2 E + E (x) L + L^2 for a line bundle L, + the direct sum
+    t = ring.gen(1) if isinstance(ring, ChernCtx) else ring.sigma((1,))
+    expect = _convolve(c(bundles.sym(2, e), ring), c(bundles.twist(e, t), ring), ring)
+    expect = _convolve(expect, c(bundles.line(2 * t), ring), ring)
+    assert c(bundles.sym(2, bundles.direct_sum(e, bundles.line(t))), ring) == expect
+
+
+@st.composite
+def split_points(draw):
+    r = draw(st.integers(0, 3))
+    d = draw(st.integers(2, 5))
+    return r, draw(st.integers(r + 1, 10)), d, draw(st.integers(1, d - 1))
+
+
+@settings(max_examples=25, deadline=None)
+@given(split_points())
+def test_sigma_direct_equals_the_uncollapsed_triple_sum_at_random(point):
+    assert sigma_direct(*point) == sigma_triple_sum(*point)
 
 
 # CLI fuzzing: whatever the expression, `class` answers or fails with a
