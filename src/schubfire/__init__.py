@@ -11,19 +11,16 @@ from .bundles import (
     ChernCtx,
     ChernPoly,
     bundle_rank,
-    c_top_virtual,
     chern_string,
     direct_sum,
     dual,
     line,
-    pullback_of,
     segre,
     sym,
     sym_chern,
     total_chern,
     twist,
     ustar,
-    virtual_diff,
 )
 from .chow import (
     ChowClass,
@@ -89,7 +86,6 @@ __all__ = [
     "SchubfireError",
     "SplitResult",
     "bundle_rank",
-    "c_top_virtual",
     "chern_string",
     "complement_in_box",
     "conjugate",
@@ -103,7 +99,6 @@ __all__ = [
     "line",
     "lr_multiply",
     "pieri_e",
-    "pullback_of",
     "pushforward",
     "rank_cap",
     "rank_triple",
@@ -121,5 +116,4 @@ __all__ = [
     "twist",
     "ustar",
     "verify_identity",
-    "virtual_diff",
 ]

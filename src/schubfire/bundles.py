@@ -1,8 +1,7 @@
 """Chern and Segre classes of formal bundle expressions.
 
 Expressions are small trees: the dual universal subbundle, symmetric
-powers, duals, direct sums, line bundles and line twists, virtual
-differences, and pullbacks to a projective bundle.  Total Chern classes
+powers, duals, direct sums, line bundles and line twists.  Total Chern classes
 follow the splitting principle; symmetric powers go through a universal
 table, computed once per (power, rank, degree cap) by multiplying out the
 Chern roots of the power in place, on x-monomials packed into integers,
@@ -18,13 +17,11 @@ and shared by every caller, so the direct and projective-bundle routes of
 ``limiting`` draw on the same classes.  The Segre series is only ever
 inverted up to the highest degree asked for so far.
 
-Everything is generic over the coefficient ring.  A ring context only has
-to provide ``top_degree``, ``universal_rank``, ``one()``, ``zero()`` and,
-where the corresponding leaves appear, ``universal_dual_chern()`` or
-``pullback``/``base``.  The rings used in this package are the Schubert
-basis of a Grassmannian (GrassCtx), the Chow ring of a projective bundle
-over it (PBCtx), and the free presentation in c1..ck (ChernCtx below)
-used for printing and for regressions against known expansions.
+A ring context provides ``top_degree``, ``universal_rank``, ``one()``,
+``zero()`` and ``universal_dual_chern()``.  The two rings are the
+Schubert basis of a Grassmannian (GrassCtx) and the free presentation in
+c1..ck (ChernCtx below), used for printing and for regressions against
+known expansions.
 
 The Segre series is the formal inverse of the Chern series, c(E).s(E) = 1,
 so s1(E) = -c1(E); every downstream formula assumes exactly this
@@ -49,8 +46,6 @@ DUAL = "dual"
 TWIST = "twist"
 LINE = "line"
 SUM = "sum"
-DIFF = "diff"
-PULLBACK = "pullback"
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,8 +78,6 @@ def ustar() -> BundleExpr:
 def sym(d: int, child: BundleExpr) -> BundleExpr:
     if d < 1:
         raise ValueError("symmetric power degree must be >= 1")
-    if child.kind == DIFF:
-        raise ValueError("symmetric power of a virtual difference is not defined")
     return BundleExpr(SYM, (child,), power=d)
 
 
@@ -94,8 +87,6 @@ def dual(child: BundleExpr) -> BundleExpr:
 
 def twist(child: BundleExpr, t) -> BundleExpr:
     """Tensor with a line bundle whose first Chern class is t."""
-    if child.kind == DIFF:
-        raise ValueError("twist of a virtual difference has no well-defined rank")
     return BundleExpr(TWIST, (child,), twist_class=t)
 
 
@@ -108,15 +99,6 @@ def direct_sum(*children: BundleExpr) -> BundleExpr:
     return BundleExpr(SUM, tuple(children))
 
 
-def virtual_diff(plus: BundleExpr, minus: BundleExpr) -> BundleExpr:
-    return BundleExpr(DIFF, (plus, minus))
-
-
-def pullback_of(child: BundleExpr) -> BundleExpr:
-    """Marks a bundle living on the base of a projective bundle."""
-    return BundleExpr(PULLBACK, (child,))
-
-
 def bundle_rank(expr: BundleExpr, universal_rank: int) -> int:
     """Rank, with the universal subbundle resolved to the given rank."""
     if expr.kind == USTAR:
@@ -124,16 +106,12 @@ def bundle_rank(expr: BundleExpr, universal_rank: int) -> int:
     if expr.kind == SYM:
         e = bundle_rank(expr.children[0], universal_rank)
         return comb(e + expr.power - 1, expr.power)
-    if expr.kind in (DUAL, TWIST, PULLBACK):
+    if expr.kind in (DUAL, TWIST):
         return bundle_rank(expr.children[0], universal_rank)
     if expr.kind == LINE:
         return 1
     if expr.kind == SUM:
         return sum(bundle_rank(c, universal_rank) for c in expr.children)
-    if expr.kind == DIFF:
-        return bundle_rank(expr.children[0], universal_rank) - bundle_rank(
-            expr.children[1], universal_rank
-        )
     raise ValueError(f"unknown node kind {expr.kind!r}")
 
 
@@ -342,10 +320,9 @@ class _MonomialEvaluator:
         return acc
 
 
-def _series_mul(a: list, b: list, ring, cap: int | None = None) -> list:
-    """Product of two series, degrees 0..cap (the ring's top by default)."""
-    if cap is None:
-        cap = ring.top_degree
+def _series_mul(a: list, b: list, ring) -> list:
+    """Product of two series, up to the ring's top degree."""
+    cap = ring.top_degree
     out = [ring.zero() for _ in range(cap + 1)]
     for i, ai in enumerate(a):
         if not ai:
@@ -411,9 +388,7 @@ def total_chern(expr: BundleExpr, ring) -> list:
     kind = expr.kind
     if kind == USTAR:
         if not hasattr(ring, "universal_dual_chern"):
-            raise ValueError(
-                "the universal subbundle must appear under a pullback here"
-            )
+            raise ValueError(f"bundle expressions need a GrassCtx or a ChernCtx, not {ring!r}")
         return _pad(ring.universal_dual_chern(), ring)
     if kind == LINE:
         out = [ring.one()] + [ring.zero() for _ in range(cap)]
@@ -428,11 +403,6 @@ def total_chern(expr: BundleExpr, ring) -> list:
         for child in expr.children:
             acc = _series_mul(acc, total_chern(child, ring), ring)
         return acc
-    if kind == PULLBACK:
-        if not hasattr(ring, "base"):
-            raise ValueError("pullback only makes sense over a projective bundle")
-        base_series = total_chern(expr.children[0], ring.base)
-        return _pad([ring.pullback(c) for c in base_series], ring)
     if kind == TWIST:
         child = expr.children[0]
         t = expr.twist_class
@@ -454,85 +424,13 @@ def total_chern(expr: BundleExpr, ring) -> list:
         if _is_sym_ustar(expr, ring):
             return list(_sym_ustar_series(expr.power, ring)[0])
         return _sym_series(expr.power, expr.children[0], ring)
-    if kind == DIFF:
-        plus, minus = expr.children
-        return _series_mul(
-            total_chern(plus, ring), _pad(segre(minus, ring), ring), ring
-        )
     raise ValueError(f"unknown node kind {kind!r}")
 
 
 def segre(expr: BundleExpr, ring, max_degree: int | None = None) -> list:
-    """Segre classes s_0..s_cap, the inverse series of the total Chern class.
-
-    Twists of honest bundles use the closed form
-
-        s_i(E (x) L) = sum_j C(e-1+i, i-j) s_j(E) (-t)^(i-j)
-
-    which avoids inverting a series over a projective-bundle ring; all
-    other shapes invert their Chern series directly.  The two routes are
-    checked against each other in the tests.
-    """
+    """Segre classes s_0..s_cap, the inverse series of the total Chern class."""
     cap = ring.top_degree if max_degree is None else min(max_degree, ring.top_degree)
-    kind = expr.kind
-    if kind == LINE:
-        t = expr.twist_class
-        out = [ring.one()]
-        acc = ring.one()
-        for _ in range(cap):
-            acc = acc * (-t)
-            out.append(acc)
-        return out
-    if kind == PULLBACK:
-        if not hasattr(ring, "base"):
-            raise ValueError("pullback only makes sense over a projective bundle")
-        inner = segre(expr.children[0], ring.base, max_degree=cap)
-        return [ring.pullback(c) for c in inner]
-    if kind == DIFF:
-        plus, minus = expr.children
-        return _series_mul(segre(plus, ring, max_degree=cap), total_chern(minus, ring), ring, cap)
-    if kind == TWIST:
-        child = expr.children[0]
-        t = expr.twist_class
-        e = bundle_rank(child, ring.universal_rank)
-        s_child = segre(child, ring, max_degree=cap)
-        mt_pows = [ring.one()]
-        for _ in range(cap):
-            mt_pows.append(mt_pows[-1] * (-t))
-        out = []
-        for i in range(cap + 1):
-            acc = ring.zero()
-            for j in range(0, i + 1):
-                coeff = comb(e - 1 + i, i - j)
-                if coeff and s_child[j]:
-                    acc = acc + coeff * (s_child[j] * mt_pows[i - j])
-            out.append(acc)
-        return out
     if _is_sym_ustar(expr, ring):
         chern, s = _sym_ustar_series(expr.power, ring)
         return _extend_inverse(chern, s, ring, cap)[: cap + 1]
     return _extend_inverse(total_chern(expr, ring), [ring.one()], ring, cap)
-
-
-def c_top_virtual(expr: BundleExpr, r_top: int, ring):
-    """Degree-r_top part of the Chern class of a virtual difference.
-
-    The caller asserts that the difference represents an honest quotient of
-    rank r_top; this function only evaluates
-    sum_i c_i(plus) s_(r_top - i)(minus).
-    """
-    if r_top < 0:
-        raise ValueError("top degree of a virtual quotient must be nonnegative")
-    if expr.kind == DIFF:
-        plus, minus = expr.children
-    else:
-        plus, minus = expr, direct_sum()
-    if r_top > ring.top_degree:
-        return ring.zero()
-    c_plus = total_chern(plus, ring)
-    s_minus = segre(minus, ring, max_degree=r_top)
-    acc = ring.zero()
-    for i in range(0, r_top + 1):
-        if i < len(c_plus) and c_plus[i] and s_minus[r_top - i]:
-            acc = acc + c_plus[i] * s_minus[r_top - i]
-    return acc

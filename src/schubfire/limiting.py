@@ -15,9 +15,11 @@ part has a class of its own, computed here two ways:
 * ``sigma_direct`` evaluates the paper's triple sum in the Chern and Segre
   classes of Sym^d, Sym^k and Sym^l of the dual universal subbundle, on the
   Grassmannian, after collapsing it through c(E) s(E) = 1;
-* ``sigma_pb`` builds the projective bundle P(Sym^l U*), takes top Chern
-  classes of the two quotient bundles cutting out the locus there, pushes
-  forward, and multiplies by the top Chern class of Sym^k U*.
+* ``sigma_pb`` writes the top Chern classes of the two quotient bundles
+  cutting out the locus on the projective bundle P(Sym^l U*) as
+  polynomials in zeta = c1(O(1)) over the Grassmannian, multiplies them
+  once there, pushes forward, and multiplies by the top Chern class of
+  Sym^k U*.
 
 The direct route is the default (no projective bundle to build, so it is
 faster); the bundle route is kept as a cross-check.  The two must agree
@@ -38,6 +40,7 @@ from typing import NamedTuple
 from . import bundles
 from .chow import ChowClass, GrassCtx, integral
 from .errors import RankCapExceededError, RouteMismatchError
+from .projbundle import PBClass, PBCtx, pushforward
 
 RANK_CAP_DEFAULT = 64
 RANK_CAP_ENV = "SCHUBFIRE_RANK_CAP"
@@ -194,37 +197,47 @@ def _sigma_direct_cached(r: int, n: int, d: int, k: int) -> ChowClass:
 
 
 def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:
-    """Same class as ``sigma_direct`` via the projective bundle P(Sym^l U*).
+    """Same class as ``sigma_direct`` via the projective bundle P(E), E = Sym^l U*.
 
-    Forms the rank-(r_d - r_k) quotient of the pulled-back Sym^d U* by
-    Sym^k U* twisted by the tautological subbundle, and the rank-(r_l - 1)
-    quotient of the pulled-back Sym^l U* by the tautological subbundle;
-    multiplies their top Chern classes, pushes forward, and multiplies by
-    the top Chern class of Sym^k U*.
+    With e = r_l, zeta = c1(O(1)) and R = r_d - r_k, the locus on P(E) is
+    cut out by the top Chern classes of two quotients, both written as
+    zeta-polynomials over the Grassmannian:
+
+        a = c_R(Sym^d U* - Sym^k U* (x) O(-1)) = sum over p of zeta^p A_p,
+            A_p = sum over i + j = R - p of
+                C(r_d-1-i, p) c_i(Sym^d U*) s_j(Sym^k U*),
+        b = c_(e-1)(E - O(-1)) = sum over i of c_i(E) zeta^(e-1-i).
+
+    The binomial comes from s(F (x) O(-1)), whose degree-q part is
+    sum_j C(r_k-1+q, q-j) s_j(F) zeta^(q-j).  a is reduced once by the
+    zeta relation, b needs no reduction, and the class is
+
+        c_(r_k)(Sym^k U*) * pushforward(a * b),
+
+    one product on P(E).  This route never uses s(E), so it does not share
+    ``sigma_direct``'s collapse through c(E) s(E) = 1.
     """
     ProblemParams(r, n, d, k)
     _guard(r + 1, d)
-    from .projbundle import PBCtx, pushforward
-
     ctx = GrassCtx(r, n)
-    l = d - k
     r_d, r_k, r_l = rank_triple(r, d, k)
     if r_d > ctx.dim or r_k > ctx.dim:
         return ctx.zero()
-
-    sym_l = _sym_ustar(l)
-    pb = PBCtx(ctx, sym_l)
-    t = -pb.zeta()  # c1 of the tautological subbundle
-    taut = bundles.line(t)
-    big_quot = bundles.virtual_diff(
-        bundles.pullback_of(_sym_ustar(d)),
-        bundles.twist(bundles.pullback_of(_sym_ustar(k)), t),
-    )
-    small_quot = bundles.virtual_diff(bundles.pullback_of(sym_l), taut)
-    a = bundles.c_top_virtual(big_quot, r_d - r_k, pb)
-    b = bundles.c_top_virtual(small_quot, r_l - 1, pb)
-    pushed = pushforward(a * b)
-    return bundles.total_chern(_sym_ustar(k), ctx)[r_k] * pushed
+    R = r_d - r_k
+    cd = bundles.total_chern(_sym_ustar(d), ctx)
+    sk = bundles.segre(_sym_ustar(k), ctx, max_degree=R)
+    coeffs = [ctx.zero() for _ in range(R + 1)]
+    for i in range(R + 1):
+        if not cd[i]:
+            continue
+        for j in range(R - i + 1):  # the binomial is positive for p <= R - i
+            p = R - i - j
+            if sk[j]:
+                coeffs[p] = coeffs[p] + comb(r_d - 1 - i, p) * (cd[i] * sk[j])
+    pb = PBCtx(ctx, _sym_ustar(d - k))
+    a = PBClass(pb, coeffs)
+    b = PBClass(pb, pb.chern_e[r_l - 1 :: -1])
+    return bundles.total_chern(_sym_ustar(k), ctx)[r_k] * pushforward(a * b)
 
 
 @dataclass

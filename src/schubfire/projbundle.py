@@ -43,10 +43,6 @@ class PBCtx:
             chern[i] if i < len(chern) else base.zero() for i in range(rank + 1)
         )
 
-    @property
-    def universal_rank(self) -> int:
-        return self.base.k
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PBCtx):
             return NotImplemented

@@ -8,10 +8,12 @@ is the main correctness evidence for the combinatorial core.  The small
 x-polynomial builders (elementary, complete and monomial symmetric
 polynomials, products and integer multiples) also make the tests' inputs.
 
-The one exception is ``sigma_triple_sum``: it evaluates the paper's split
-formula term by term on the package's Chern and Segre series, so agreement
-with ``limiting.sigma_direct`` checks how that function collapses the sum,
-not the series themselves.
+The two exceptions evaluate closed forms on the package's own series.
+``sigma_triple_sum`` evaluates the paper's split formula term by term, so
+agreement with ``limiting.sigma_direct`` and ``limiting.sigma_pb`` checks
+how those functions rearrange the sum, not the series themselves.
+``twisted_segre`` twists a Segre series by a line bundle in closed form,
+to be compared with the inversion of the twisted Chern series.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -228,3 +230,20 @@ def sigma_triple_sum(r, n, d, k):
         if inner:
             total = total + cd[i] * inner
     return prefactor * total
+
+
+def twisted_segre(s, e, t, ring):
+    """s(E (x) L) for a rank-e bundle E with Segre series s and c1(L) = t:
+
+        s_i(E (x) L) = sum_j C(e-1+i, i-j) s_j(E) (-t)^(i-j).
+    """
+    mt_pows = [ring.one()]
+    for _ in range(ring.top_degree):
+        mt_pows.append(mt_pows[-1] * (-t))
+    out = []
+    for i in range(ring.top_degree + 1):
+        acc = ring.zero()
+        for j in range(i + 1):
+            acc = acc + comb(e - 1 + i, i - j) * (s[j] * mt_pows[i - j])
+        out.append(acc)
+    return out

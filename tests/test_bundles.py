@@ -8,21 +8,20 @@ import pytest
 from schubfire.bundles import (
     ChernCtx,
     bundle_rank,
-    c_top_virtual,
     chern_string,
     direct_sum,
     dual,
     line,
-    pullback_of,
     segre,
     sym,
     sym_chern,
     total_chern,
     twist,
     ustar,
-    virtual_diff,
 )
 from schubfire.chow import GrassCtx, schubert_string
+
+from _oracles import twisted_segre
 
 
 def test_bundle_rank():
@@ -30,16 +29,10 @@ def test_bundle_rank():
     assert bundle_rank(sym(2, ustar()), 3) == 6
     assert bundle_rank(sym(3, ustar()), 4) == 20
     assert bundle_rank(direct_sum(ustar(), line(None)), 3) == 4
-    assert bundle_rank(virtual_diff(sym(2, ustar()), ustar()), 3) == 3
     assert bundle_rank(dual(sym(2, ustar())), 2) == 3
 
 
 def test_node_restrictions():
-    diff = virtual_diff(ustar(), line(None))
-    with pytest.raises(ValueError):
-        twist(diff, None)
-    with pytest.raises(ValueError):
-        sym(2, diff)
     with pytest.raises(ValueError):
         sym(0, ustar())
 
@@ -185,24 +178,6 @@ def test_segre_inverse_property():
             assert acc == g.zero(), (e, p)
 
 
-@pytest.mark.parametrize("ring", [GrassCtx(2, 5), ChernCtx(3, 6)], ids=["grass", "chern"])
-def test_segre_of_virtual_difference_inverts_its_chern_series(ring):
-    for diff in (
-        virtual_diff(sym(2, ustar()), ustar()),
-        virtual_diff(ustar(), dual(sym(2, ustar()))),
-        virtual_diff(direct_sum(ustar(), ustar()), sym(2, ustar())),
-    ):
-        c = total_chern(diff, ring)
-        s = segre(diff, ring)
-        assert len(s) == ring.top_degree + 1
-        for p in range(ring.top_degree + 1):
-            acc = ring.zero()
-            for i in range(p + 1):
-                acc = acc + c[i] * s[p - i]
-            assert acc == (ring.one() if p == 0 else ring.zero()), (diff, p)
-        assert segre(diff, ring, max_degree=2) == s[:3]
-
-
 def test_twist_zero_is_identity():
     g = GrassCtx(2, 5)
     e = sym(2, ustar())
@@ -227,36 +202,16 @@ def test_twist_chern_matches_split_roots():
     assert ct[2] == c2 + c1 * t + t * t
 
 
-def test_twist_segre_closed_form_matches_inversion():
-    # the twisted Segre shortcut must agree with direct series inversion
-    g = GrassCtx(1, 4)
-    t = g.sigma((1,))
-    e = twist(sym(2, ustar()), t)
-    c = total_chern(e, g)
-    s = segre(e, g)
-    for p in range(1, g.dim + 1):
-        acc = g.zero()
-        for i in range(p + 1):
-            acc = acc + c[i] * s[p - i]
-        assert acc == g.zero(), p
-
-
-def test_c_top_virtual_examples():
-    g = GrassCtx(2, 5)
-    a = sym(2, ustar())
-    ra = bundle_rank(a, g.k)
-    assert c_top_virtual(virtual_diff(a, direct_sum()), ra, g) == total_chern(a, g)[ra]
-    assert c_top_virtual(virtual_diff(a, a), 0, g) == g.one()
-    with pytest.raises(ValueError):
-        c_top_virtual(virtual_diff(a, a), -1, g)
-
-
-def test_pullback_requires_bundle_context():
-    g = GrassCtx(2, 5)
-    with pytest.raises(ValueError):
-        total_chern(pullback_of(ustar()), g)  # plain Grassmannian has no base
-    with pytest.raises(ValueError):
-        segre(pullback_of(ustar()), g)
+@pytest.mark.parametrize("ring", [GrassCtx(1, 4), ChernCtx(3, 6)], ids=["grass", "chern"])
+def test_twist_segre_closed_form_matches_inversion(ring):
+    # segre inverts the twisted Chern series; the closed form in the oracle
+    # is the identity behind the binomial of limiting.sigma_pb
+    t = ring.gen(1) if isinstance(ring, ChernCtx) else ring.sigma((1,))
+    e = sym(2, ustar())
+    s = segre(e, ring)
+    got = segre(twist(e, t), ring)
+    assert got == twisted_segre(s, bundle_rank(e, ring.universal_rank), t, ring)
+    assert got[1] != s[1]  # the twist is not the identity here
 
 
 def test_sym_chern_agrees_with_root_polynomial_straightening():

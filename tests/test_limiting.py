@@ -7,6 +7,7 @@ import pytest
 from schubfire.bundles import segre, sym, total_chern, ustar
 from schubfire.chow import ChowClass, GrassCtx, integral, schubert_string
 from schubfire.errors import RankCapExceededError
+from schubfire.projbundle import PBClass
 from schubfire.limiting import (
     ProblemParams,
     expected_dim,
@@ -263,7 +264,9 @@ def test_triple_sum_grid_covers_every_regime():
 
 @pytest.mark.parametrize("r,n,d,k", TRIPLE_SUM_GRID)
 def test_sigma_direct_equals_the_uncollapsed_triple_sum(r, n, d, k):
-    assert sigma_direct(r, n, d, k) == sigma_triple_sum(r, n, d, k)
+    expect = sigma_triple_sum(r, n, d, k)
+    assert sigma_direct(r, n, d, k) == expect
+    assert sigma_pb(r, n, d, k) == expect
 
 
 @pytest.mark.parametrize("r,n,d,k,bound", [(3, 8, 3, 1, 300), (1, 25, 47, 23, 1200)])
@@ -280,4 +283,31 @@ def test_sigma_direct_product_count(clear_caches, monkeypatch, r, n, d, k, bound
     monkeypatch.setattr(ChowClass, "_product", counted)
     sigma_direct(r, n, d, k)
     sigma_direct(r, n, d, d - k)
+    assert 0 < len(calls) <= bound
+
+
+@pytest.mark.parametrize("r,n,d,k,bound", [(3, 8, 3, 1, 600), (2, 12, 6, 3, 1200)])
+def test_sigma_pb_product_count(clear_caches, monkeypatch, r, n, d, k, bound):
+    # One product on the projective bundle per call.  The evaluation of the
+    # two quotients as bundle expressions on P(Sym^l U*) took 388 and 874
+    # projective-bundle products (1055 and 2260 Chow products) here.
+    total_class(r, n, d)
+    sigma_direct(r, n, d, k)
+    sigma_direct(r, n, d, d - k)
+    pb_mul, product = PBClass.__mul__, ChowClass._product
+    pb_calls, calls = [], []
+
+    def counted_pb(self, other):
+        pb_calls.append(None)
+        return pb_mul(self, other)
+
+    def counted(self, other_terms):
+        calls.append(None)
+        return product(self, other_terms)
+
+    monkeypatch.setattr(PBClass, "__mul__", counted_pb)
+    monkeypatch.setattr(ChowClass, "_product", counted)
+    sigma_pb(r, n, d, k)
+    sigma_pb(r, n, d, d - k)
+    assert len(pb_calls) == 2
     assert 0 < len(calls) <= bound

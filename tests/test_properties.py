@@ -15,7 +15,7 @@ from schubfire.bundles import ChernCtx, ChernPoly, _MonomialEvaluator
 from schubfire.chow import ChowClass, GrassCtx, schur_expand
 from schubfire.cli import main
 from schubfire.errors import ContextMismatchError
-from schubfire.limiting import sigma_direct
+from schubfire.limiting import sigma_direct, sigma_pb
 from schubfire.partitions import Box, iter_box_partitions, schur_to_elementary
 from schubfire.sympoly import schur_coefficients
 
@@ -304,6 +304,12 @@ def split_points(draw):
 @given(split_points())
 def test_sigma_direct_equals_the_uncollapsed_triple_sum_at_random(point):
     assert sigma_direct(*point) == sigma_triple_sum(*point)
+
+
+@settings(max_examples=25, deadline=None)
+@given(split_points())
+def test_routes_agree_at_random(point):
+    assert sigma_pb(*point) == sigma_direct(*point)
 
 
 # CLI fuzzing: whatever the expression, `class` answers or fails with a
