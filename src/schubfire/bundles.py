@@ -214,7 +214,7 @@ class ChernCtx:
         return ChernPoly._from_clean(self, {tuple(exps): 1}) if i <= self.top_degree else self.zero()
 
     def universal_dual_chern(self) -> list["ChernPoly"]:
-        return [self.gen(i) if i <= self.k else self.zero() for i in range(self.top_degree + 1)]
+        return [self.gen(i) for i in range(self.top_degree + 1)]
 
 
 def _weighted_degree(exps: tuple[int, ...]) -> int:

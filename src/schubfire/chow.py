@@ -11,9 +11,11 @@ Coefficients are Python ints throughout: intermediate Chern-monomial
 coefficients reach the 10^4..10^5 range and symmetric-power tables grow
 fast, so fixed-width arithmetic is not an option.
 
-How an integer combination is stored, added and scaled
-(``_Combination``) and how it is printed (``render``) is defined here
-once; ``bundles.ChernPoly`` shares both for the Chern-monomial basis.
+How a combination is stored, added and scaled (``_Combination``) and
+how it is printed (``render``) is defined here once.
+``bundles.ChernPoly`` shares both for the Chern-monomial basis, and
+``projbundle.PBClass`` shares the arithmetic, with base classes as the
+coefficients of the powers of zeta.
 """
 
 from __future__ import annotations
@@ -91,13 +93,17 @@ class GrassCtx:
 
 
 class _Combination:
-    """A finitely supported integer combination of basis keys over a ring
-    context, immutable by convention.
+    """A finitely supported combination of basis keys over a ring context,
+    immutable by convention: ``terms`` maps each key to a nonzero
+    coefficient.
 
-    This holds what every basis shares: sums, negation, integer multiples
-    and the context check.  A subclass validates its keys in ``__init__``
-    and supplies the ring product of two term dicts as ``_product``, the
-    printing order as ``sorted_terms``, and ``__repr__``.
+    A coefficient is any ring element: an int for ``ChowClass`` and
+    ``ChernPoly``, a base ``ChowClass`` for ``projbundle.PBClass``.  This
+    holds what every basis shares: sums, negation, integer multiples and
+    the context check.  A subclass validates its keys in ``__init__`` and
+    supplies the ring product of two term dicts as ``_product`` and
+    ``__repr__``; the two integer bases also give their printing order as
+    ``sorted_terms``.
     """
 
     __slots__ = ("ctx", "terms")
@@ -129,10 +135,11 @@ class _Combination:
         self._check(other)
         out = dict(self.terms)
         for key, c in other.terms.items():
-            v = out.get(key, 0) + c
+            # Never 0 + c: a ChowClass coefficient cannot be added to the int 0.
+            v = out[key] + c if key in out else c
             if v:
                 out[key] = v
-            elif key in out:
+            else:
                 del out[key]
         return self._from_clean(self.ctx, out)
 
@@ -251,7 +258,7 @@ def schur_expand(p: Mapping, ctx: GrassCtx) -> ChowClass:
                 xdict[t] = v
             elif t in xdict:
                 del xdict[t]
-    sympoly.x_to_m(xdict, k)  # raises unless p is symmetric
+    sympoly.check_symmetric(xdict, k)
     terms = {}
     for lam in iter_box_partitions(ctx.box):
         c = sympoly.schur_coefficient(xdict, lam, k)

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from . import bundles
-from .chow import ChowClass, GrassCtx
+from .chow import ChowClass, GrassCtx, _Combination
 from .errors import ContextMismatchError
 
 
@@ -35,7 +35,6 @@ class PBCtx:
         if rank < 1:
             raise ValueError(f"projective bundle needs rank >= 1, got {rank}")
         self.base = base
-        self.bundle = bundle
         self.rank = rank
         self.top_degree = base.dim + rank - 1
         chern = bundles.total_chern(bundle, base)
@@ -58,120 +57,76 @@ class PBCtx:
         return f"PBCtx(G({self.base.k},{self.base.n + 1}), rank {self.rank})"
 
     def zero(self) -> "PBClass":
-        return PBClass._from_clean(self, tuple(self.base.zero() for _ in range(self.rank)))
+        return PBClass._from_clean(self, {})
 
     def one(self) -> "PBClass":
-        coeffs = [self.base.one()] + [self.base.zero()] * (self.rank - 1)
-        return PBClass._from_clean(self, tuple(coeffs))
+        return PBClass._from_clean(self, {0: self.base.one()})
 
     def zeta(self) -> "PBClass":
         """The hyperplane class c1(O(1)), reduced when the rank is 1."""
-        raw = [self.base.zero(), self.base.one()]
-        return PBClass._from_clean(self, _reduce(self, raw))
+        return PBClass._from_clean(self, _reduce(self, {1: self.base.one()}))
 
     def pullback(self, alpha: ChowClass) -> "PBClass":
         """Base class seen on the projective bundle (coefficient of zeta^0)."""
         if alpha.ctx != self.base:
             raise ContextMismatchError(f"{alpha.ctx} is not the base of {self}")
-        coeffs = [alpha] + [self.base.zero()] * (self.rank - 1)
-        return PBClass._from_clean(self, tuple(coeffs))
+        return PBClass._from_clean(self, {0: alpha} if alpha else {})
 
 
-def _reduce(ctx: PBCtx, raw: Sequence[ChowClass]) -> tuple[ChowClass, ...]:
+def _reduce(ctx: PBCtx, terms: dict) -> dict:
+    """Rewrite the powers zeta^p, p >= e, of ``terms`` {p: base class} by
+    the zeta relation, from the top down.
+
+    ``terms`` is consumed and may hold zero coefficients; the result holds
+    only the nonzero ones, all below e.
+    """
     e = ctx.rank
-    work = list(raw)
-    for p in range(len(work) - 1, e - 1, -1):
-        c = work[p]
+    for p in range(max(terms, default=0), e - 1, -1):
+        c = terms.pop(p, None)
         if not c:
             continue
-        work[p] = ctx.base.zero()
         for i in range(1, e + 1):
             ci = ctx.chern_e[i]
             if ci:
-                work[p - i] = work[p - i] - ci * c
-    out = work[:e]
-    while len(out) < e:
-        out.append(ctx.base.zero())
-    return tuple(out)
+                t = ci * c
+                terms[p - i] = terms[p - i] - t if p - i in terms else -t
+    return {p: c for p, c in terms.items() if c}
 
 
-class PBClass:
-    """Element of the projective-bundle ring in canonical zeta-reduced form."""
+class PBClass(_Combination):
+    """Element of the projective-bundle ring in canonical zeta-reduced form:
+    {power j of zeta below the rank: nonzero base ChowClass}.
+    """
 
-    __slots__ = ("ctx", "coeffs")
+    __slots__ = ()
 
     def __init__(self, ctx: PBCtx, coeffs: Sequence[ChowClass]):
+        """The zeta-polynomial sum_j coeffs[j] zeta^j, of any length."""
         for c in coeffs:
             if c.ctx != ctx.base:
                 raise ContextMismatchError("coefficient from a different base")
         self.ctx = ctx
-        self.coeffs = _reduce(ctx, list(coeffs))
+        self.terms = _reduce(ctx, dict(enumerate(coeffs)))
 
-    @classmethod
-    def _from_clean(cls, ctx: PBCtx, coeffs: tuple[ChowClass, ...]) -> "PBClass":
-        self = object.__new__(cls)
-        self.ctx = ctx
-        self.coeffs = coeffs
-        return self
-
-    def _check(self, other: "PBClass") -> None:
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
-            raise ContextMismatchError("projective-bundle contexts differ")
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PBClass):
-            return NotImplemented
-        return self.ctx == other.ctx and all(
-            a == b for a, b in zip(self.coeffs, other.coeffs)
-        )
-
-    __hash__ = None  # type: ignore[assignment]
-
-    def __add__(self, other) -> "PBClass":
-        if not isinstance(other, PBClass):
-            return NotImplemented
-        self._check(other)
-        return PBClass._from_clean(
-            self.ctx, tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "PBClass":
-        return PBClass._from_clean(self.ctx, tuple(-a for a in self.coeffs))
-
-    def __sub__(self, other) -> "PBClass":
-        if not isinstance(other, PBClass):
-            return NotImplemented
-        return self + (-other)
+    def _product(self, other_terms: dict) -> dict:
+        raw: dict[int, ChowClass] = {}
+        for i, a in self.terms.items():
+            for j, b in other_terms.items():
+                raw[i + j] = raw[i + j] + a * b if i + j in raw else a * b
+        return _reduce(self.ctx, raw)
 
     def __mul__(self, other) -> "PBClass":
-        if isinstance(other, int):
-            return PBClass._from_clean(self.ctx, tuple(a * other for a in self.coeffs))
         if isinstance(other, ChowClass):
             other = self.ctx.pullback(other)
-        if not isinstance(other, PBClass):
-            return NotImplemented
-        self._check(other)
-        e = self.ctx.rank
-        zero = self.ctx.base.zero()
-        raw = [zero] * (2 * e - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    raw[i + j] = raw[i + j] + a * b
-        return PBClass._from_clean(self.ctx, _reduce(self.ctx, raw))
+        return super().__mul__(other)
 
     def __rmul__(self, other) -> "PBClass":
         if isinstance(other, (int, ChowClass)):
-            return self.__mul__(other)
+            return self * other
         return NotImplemented
 
     def __repr__(self) -> str:
-        parts = [f"({c!r})*z^{j}" for j, c in enumerate(self.coeffs) if c]
+        parts = [f"({self.terms[j]!r})*z^{j}" for j in sorted(self.terms)]
         return "PBClass(" + (" + ".join(parts) if parts else "0") + ")"
 
 
@@ -183,4 +138,4 @@ def pushforward(a: PBClass) -> ChowClass:
     j = e-1 contributes, through s_0 = 1; the higher Segre classes have
     already entered through the zeta relation that put the class there.
     """
-    return a.coeffs[a.ctx.rank - 1]
+    return a.terms.get(a.ctx.rank - 1, a.ctx.base.zero())

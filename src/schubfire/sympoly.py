@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import permutations
-from math import factorial
 from typing import Iterator
 
 from .errors import NonSymmetricInputError
@@ -32,41 +31,18 @@ from .partitions import Partition
 XPoly = dict[tuple[int, ...], int]
 
 
-def _distinct_perm_count(key: tuple[int, ...]) -> int:
-    mult: dict[int, int] = {}
-    for v in key:
-        mult[v] = mult.get(v, 0) + 1
-    out = factorial(len(key))
-    for m in mult.values():
-        out //= factorial(m)
-    return out
+def check_symmetric(p: XPoly, k: int) -> None:
+    """Raise NonSymmetricInputError unless p is symmetric in its k variables.
 
-
-def x_to_m(p: XPoly, k: int) -> dict[tuple[int, ...], int]:
-    """Collapse a symmetric x-poly to m-coordinates.
-
-    Raises NonSymmetricInputError unless every orbit is complete and
-    carries a constant coefficient.
+    Adjacent transpositions generate S_k, so it is enough that swapping
+    any two adjacent variables leaves p unchanged.
     """
-    m: dict[tuple[int, ...], int] = {}
-    census: dict[tuple[int, ...], int] = {}
-    for key, c in p.items():
-        if len(key) != k:
-            raise ValueError(f"exponent tuple {key} is not length {k}")
-        skey = tuple(sorted(key, reverse=True))
-        census[skey] = census.get(skey, 0) + 1
-        if key == skey:
-            m[skey] = c
-    for key, c in p.items():
-        skey = tuple(sorted(key, reverse=True))
-        if m.get(skey) != c:
-            raise NonSymmetricInputError(
-                f"coefficient of x^{key} differs within its orbit"
-            )
-    for skey, seen in census.items():
-        if seen != _distinct_perm_count(skey):
-            raise NonSymmetricInputError(f"orbit of {skey} is incomplete")
-    return {key: c for key, c in m.items() if c}
+    for i in range(k - 1):
+        for key, c in p.items():
+            if p.get(key[:i] + (key[i + 1], key[i]) + key[i + 2 :]) != c:
+                raise NonSymmetricInputError(
+                    f"coefficient of x^{key} changes when x{i + 1} and x{i + 2} swap"
+                )
 
 
 @lru_cache(maxsize=None)

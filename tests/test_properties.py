@@ -1,7 +1,8 @@
 """Randomised invariants: the straightening, schur_expand, the ring axioms of
-Chow classes and Chern polynomials, the evaluation of e-polynomials in a
-ring, c(E) s(E) = 1 and the Whitney formula, the collapsed split formula
-against the paper's triple sum, and the `class` command on random input."""
+Chow classes, Chern polynomials and projective-bundle classes, the
+projection formula, the evaluation of e-polynomials in a ring,
+c(E) s(E) = 1 and the Whitney formula, the collapsed split formula against
+the paper's triple sum, and the `class` command on random input."""
 
 import pytest
 
@@ -17,6 +18,7 @@ from schubfire.cli import main
 from schubfire.errors import ContextMismatchError
 from schubfire.limiting import sigma_direct, sigma_pb
 from schubfire.partitions import Box, iter_box_partitions, schur_to_elementary
+from schubfire.projbundle import PBClass, PBCtx, pushforward
 from schubfire.sympoly import schur_coefficients
 
 from _oracles import (
@@ -193,8 +195,41 @@ def test_monomial_evaluator_matches_term_by_term_evaluation(case):
         assert evaluator.poly(poly) == naive
 
 
+# P(U*) over G(2,4) and P(Sym^2 U*) over G(3,5): ranks 2 and 6.
+PB_CONTEXTS = [
+    PBCtx(GrassCtx(1, 3), bundles.ustar()),
+    PBCtx(GrassCtx(2, 4), bundles.sym(2, bundles.ustar())),
+]
+
+
+@st.composite
+def pb_classes(draw):
+    """Random zeta-polynomials, up to two powers past the rank, reduced."""
+    ctx = draw(st.sampled_from(PB_CONTEXTS))
+    shapes = st.sampled_from(list(iter_box_partitions(ctx.base.box)))
+
+    def base_class():
+        return ChowClass(ctx.base, draw(st.dictionaries(shapes, COEFFS, max_size=2)))
+
+    length = st.integers(0, ctx.rank + 2)
+    return ctx, [PBClass(ctx, [base_class() for _ in range(draw(length))]) for _ in range(3)]
+
+
 @settings(max_examples=40, deadline=None)
-@given(st.one_of(chow_classes(), chern_polys()), st.integers(-3, 3))
+@given(pb_classes(), st.sampled_from(list(iter_box_partitions(Box(3, 2)))))
+def test_pb_products_are_a_ring_and_satisfy_the_projection_formula(case, lam):
+    ctx, (x, y, z) = case
+    assert x * y == y * x
+    assert (x * y) * z == x * (y * z)
+    assert x * (y + z) == x * y + x * z
+    assert ctx.one() * x == x == x * ctx.one()
+    alpha = ctx.base.sigma(lam) - ctx.base.one()
+    assert alpha * x == ctx.pullback(alpha) * x == x * alpha
+    assert pushforward(ctx.pullback(alpha) * x) == alpha * pushforward(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(chow_classes(), chern_polys(), pb_classes()), st.integers(-3, 3))
 def test_sums_and_integer_multiples(case, m):
     ctx, (a, b, c) = case
     zero = ctx.zero()
@@ -210,8 +245,8 @@ def test_sums_and_integer_multiples(case, m):
 
 @st.composite
 def foreign_pairs(draw):
-    pool = draw(st.sampled_from([RING_CONTEXTS, CHERN_CONTEXTS]))
-    first, second = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=2, unique=True))
+    pool = draw(st.sampled_from([RING_CONTEXTS, CHERN_CONTEXTS, PB_CONTEXTS]))
+    first, second = draw(st.permutations(pool))[:2]  # PBCtx is unhashable
     return first.one(), draw(st.sampled_from([second.zero(), second.one()]))
 
 

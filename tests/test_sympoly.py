@@ -4,7 +4,7 @@ import pytest
 
 from schubfire.errors import NonSymmetricInputError
 from schubfire.partitions import e_monomial_schur_expansion, schur_to_elementary
-from schubfire.sympoly import schur_coefficient, schur_coefficients, x_to_m
+from schubfire.sympoly import check_symmetric, schur_coefficient, schur_coefficients
 
 from _oracles import (
     complete_x,
@@ -24,12 +24,11 @@ def test_elementary_and_complete():
     assert complete_x(2, 2) == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
 
 
-def test_x_to_m_detects_asymmetry():
+def test_check_symmetric_detects_asymmetry():
     with pytest.raises(NonSymmetricInputError):
-        x_to_m({(2, 0): 1}, 2)  # incomplete orbit
+        check_symmetric({(2, 0): 1}, 2)  # incomplete orbit
     with pytest.raises(NonSymmetricInputError):
-        x_to_m({(2, 0): 1, (0, 2): 2}, 2)  # uneven coefficients
-    assert x_to_m({(2, 0): 3, (0, 2): 3}, 2) == {(2, 0): 3}
+        check_symmetric({(2, 0): 1, (0, 2): 2}, 2)  # uneven coefficients
 
 
 def test_e_monomial_schur_expansion_matches_direct_expansion():
