@@ -62,7 +62,7 @@ from .partitions import (
     lr_multiply,
     pieri_e,
 )
-from .projbundle import PBClass, PBCtx, pushforward
+from .projbundle import PBClass, PBCtx, pushforward, pushforward_product
 
 __version__ = "0.1.0"
 
@@ -100,6 +100,7 @@ __all__ = [
     "lr_multiply",
     "pieri_e",
     "pushforward",
+    "pushforward_product",
     "rank_cap",
     "rank_triple",
     "schubert_string",

@@ -17,16 +17,17 @@ part has a class of its own, computed here two ways:
   Grassmannian, after collapsing it through c(E) s(E) = 1;
 * ``sigma_pb`` writes the top Chern classes of the two quotient bundles
   cutting out the locus on the projective bundle P(Sym^l U*) as
-  polynomials in zeta = c1(O(1)) over the Grassmannian, multiplies them
-  once there, pushes forward, and multiplies by the top Chern class of
-  Sym^k U*.
+  polynomials in zeta = c1(O(1)) over the Grassmannian, integrates their
+  product over the fibers, forming only the zeta^(e-1) coefficient that
+  the integral reads, and multiplies by the top Chern class of Sym^k U*.
 
 The direct route is the default (no projective bundle to build, so it is
 faster); the bundle route is kept as a cross-check.  The two must agree
 exactly as classes, and their sum must equal the undegenerated total.
 Both take the Chern and Segre classes of Sym^m U* from ``bundles``, which
-computes them once per Grassmannian; the only memo kept here is the
-finished direct-route class per problem.
+computes them once per Grassmannian; the only memos kept here are the
+finished classes of each route per problem.  A split over both components
+asks for each problem twice, once as k and once as the mirror split's l.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import NamedTuple
 from . import bundles
 from .chow import ChowClass, GrassCtx, integral
 from .errors import RankCapExceededError, RouteMismatchError
-from .projbundle import PBClass, PBCtx, pushforward
+from .projbundle import PBClass, PBCtx, pushforward_product
 
 RANK_CAP_DEFAULT = 64
 RANK_CAP_ENV = "SCHUBFIRE_RANK_CAP"
@@ -214,11 +215,17 @@ def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:
 
         c_(r_k)(Sym^k U*) * pushforward(a * b),
 
-    one product on P(E).  This route never uses s(E), so it does not share
-    ``sigma_direct``'s collapse through c(E) s(E) = 1.
+    where ``pushforward_product`` forms only the coefficient of zeta^(e-1)
+    of a * b.  This route uses only the zeta relation and never s(E), so it
+    does not share ``sigma_direct``'s collapse through c(E) s(E) = 1.
     """
     ProblemParams(r, n, d, k)
     _guard(r + 1, d)
+    return _sigma_pb_cached(r, n, d, k)
+
+
+@lru_cache(maxsize=None)
+def _sigma_pb_cached(r: int, n: int, d: int, k: int) -> ChowClass:
     ctx = GrassCtx(r, n)
     r_d, r_k, r_l = rank_triple(r, d, k)
     if r_d > ctx.dim or r_k > ctx.dim:
@@ -237,7 +244,7 @@ def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:
     pb = PBCtx(ctx, _sym_ustar(d - k))
     a = PBClass(pb, coeffs)
     b = PBClass(pb, pb.chern_e[r_l - 1 :: -1])
-    return bundles.total_chern(_sym_ustar(k), ctx)[r_k] * pushforward(a * b)
+    return bundles.total_chern(_sym_ustar(k), ctx)[r_k] * pushforward_product(a, b)
 
 
 @dataclass

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+from schubfire import bundles, limiting
 from schubfire.bundles import segre, sym, total_chern, ustar
 from schubfire.chow import ChowClass, GrassCtx, integral, schubert_string
 from schubfire.errors import RankCapExceededError
@@ -286,16 +287,26 @@ def test_sigma_direct_product_count(clear_caches, monkeypatch, r, n, d, k, bound
     assert 0 < len(calls) <= bound
 
 
-@pytest.mark.parametrize("r,n,d,k,bound", [(3, 8, 3, 1, 600), (2, 12, 6, 3, 1200)])
-def test_sigma_pb_product_count(clear_caches, monkeypatch, r, n, d, k, bound):
-    # One product on the projective bundle per call.  The evaluation of the
-    # two quotients as bundle expressions on P(Sym^l U*) took 388 and 874
-    # projective-bundle products (1055 and 2260 Chow products) here.
+@pytest.mark.parametrize(
+    "r,n,d,k,integrals,bound,pair_bound",
+    [(3, 8, 3, 1, 2, 400, 6500), (2, 12, 6, 3, 1, 450, 15000)],
+)
+def test_sigma_pb_product_count(
+    clear_caches, monkeypatch, r, n, d, k, integrals, bound, pair_bound
+):
+    # One fiber integral per distinct problem (at k = l the second call is a
+    # memo hit) and no product on the projective bundle.  Forming all of
+    # a * b before integrating took 471 and 942 Chow products of 9842 and
+    # 48488 term pairs here.
     total_class(r, n, d)
     sigma_direct(r, n, d, k)
     sigma_direct(r, n, d, d - k)
-    pb_mul, product = PBClass.__mul__, ChowClass._product
-    pb_calls, calls = [], []
+    fused, pb_mul, product = limiting.pushforward_product, PBClass.__mul__, ChowClass._product
+    integral_calls, pb_calls, calls, pairs = [], [], [], []
+
+    def counted_integral(a, b):
+        integral_calls.append(None)
+        return fused(a, b)
 
     def counted_pb(self, other):
         pb_calls.append(None)
@@ -303,11 +314,45 @@ def test_sigma_pb_product_count(clear_caches, monkeypatch, r, n, d, k, bound):
 
     def counted(self, other_terms):
         calls.append(None)
+        pairs.append(len(self.terms) * len(other_terms))
         return product(self, other_terms)
 
+    monkeypatch.setattr(limiting, "pushforward_product", counted_integral)
     monkeypatch.setattr(PBClass, "__mul__", counted_pb)
     monkeypatch.setattr(ChowClass, "_product", counted)
     sigma_pb(r, n, d, k)
     sigma_pb(r, n, d, d - k)
-    assert len(pb_calls) == 2
+    assert len(integral_calls) == integrals
+    assert not pb_calls
     assert 0 < len(calls) <= bound
+    assert sum(pairs) <= pair_bound
+
+
+@pytest.mark.parametrize("r,n,d,k", [(3, 8, 3, 1), (2, 12, 6, 2), (1, 6, 4, 3)])
+def test_sigma_pb_never_asks_for_the_segre_series_of_its_bundle(
+    clear_caches, monkeypatch, r, n, d, k
+):
+    # The bundle route is a cross-check only while it shares nothing with
+    # sigma_direct's collapse through c(E) s(E) = 1 for E = Sym^l U*.
+    expect = sigma_triple_sum(r, n, d, k)
+    real, asked = bundles.segre, []
+
+    def recorded(expr, ring, max_degree=None):
+        asked.append(repr(expr))
+        return real(expr, ring, max_degree)
+
+    monkeypatch.setattr(bundles, "segre", recorded)
+    assert sigma_pb(r, n, d, k) == expect
+    assert f"sym({k},Ustar)" in asked
+    assert f"sym({d - k},Ustar)" not in asked
+
+
+def test_sigma_pb_is_evaluated_once_per_problem(clear_caches):
+    # split over both routes asks for sigma_pb(k) and sigma_pb(l); the
+    # mirror split asks for the same two problems again.
+    split(3, 8, 3, 1, "both")
+    split(3, 8, 3, 2, "both")
+    info = limiting._sigma_pb_cached.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    clear_caches()
+    assert limiting._sigma_pb_cached.cache_info().currsize == 0

@@ -1,8 +1,9 @@
 """Randomised invariants: the straightening, schur_expand, the ring axioms of
 Chow classes, Chern polynomials and projective-bundle classes, the
-projection formula, the evaluation of e-polynomials in a ring,
-c(E) s(E) = 1 and the Whitney formula, the collapsed split formula against
-the paper's triple sum, and the `class` command on random input."""
+projection formula, the fused fiber integral of a product, the evaluation
+of e-polynomials in a ring, c(E) s(E) = 1 and the Whitney formula, the
+collapsed split formula against the paper's triple sum, and the `class`
+command on random input."""
 
 import pytest
 
@@ -18,7 +19,7 @@ from schubfire.cli import main
 from schubfire.errors import ContextMismatchError
 from schubfire.limiting import sigma_direct, sigma_pb
 from schubfire.partitions import Box, iter_box_partitions, schur_to_elementary
-from schubfire.projbundle import PBClass, PBCtx, pushforward
+from schubfire.projbundle import PBClass, PBCtx, pushforward, pushforward_product
 from schubfire.sympoly import schur_coefficients
 
 from _oracles import (
@@ -195,8 +196,9 @@ def test_monomial_evaluator_matches_term_by_term_evaluation(case):
         assert evaluator.poly(poly) == naive
 
 
-# P(U*) over G(2,4) and P(Sym^2 U*) over G(3,5): ranks 2 and 6.
+# P(U*) over G(1,4), G(2,4) and P(Sym^2 U*) over G(3,5): ranks 1, 2 and 6.
 PB_CONTEXTS = [
+    PBCtx(GrassCtx(0, 3), bundles.ustar()),
     PBCtx(GrassCtx(1, 3), bundles.ustar()),
     PBCtx(GrassCtx(2, 4), bundles.sym(2, bundles.ustar())),
 ]
@@ -229,6 +231,21 @@ def test_pb_products_are_a_ring_and_satisfy_the_projection_formula(case, lam):
 
 
 @settings(max_examples=40, deadline=None)
+@given(
+    pb_classes(),
+    st.sampled_from(list(iter_box_partitions(Box(3, 2)))),
+    st.integers(0, 13),
+)
+def test_fused_fiber_integral_is_the_pushforward_of_the_product(case, lam, p):
+    ctx, (x, y, _) = case
+    alpha = ctx.base.sigma(lam) - ctx.base.one()
+    pulled = ctx.pullback(alpha)
+    power = PBClass(ctx, [ctx.base.zero()] * p + [alpha])  # alpha zeta^p, p up to 2e+1
+    for a, b in ((x, y), (x, pulled), (pulled, y), (x, power), (power, power)):
+        assert pushforward_product(a, b) == pushforward(a * b)
+
+
+@settings(max_examples=40, deadline=None)
 @given(st.one_of(chow_classes(), chern_polys(), pb_classes()), st.integers(-3, 3))
 def test_sums_and_integer_multiples(case, m):
     ctx, (a, b, c) = case
@@ -254,7 +271,10 @@ def foreign_pairs(draw):
 @given(foreign_pairs())
 def test_combining_different_contexts_is_refused(pair):
     a, b = pair
-    for op in (lambda: a + b, lambda: a - b, lambda: a * b):
+    ops = [lambda: a + b, lambda: a - b, lambda: a * b]
+    if isinstance(a, PBClass):
+        ops.append(lambda: pushforward_product(a, b))
+    for op in ops:
         with pytest.raises(ContextMismatchError):
             op()
     assert a != b
