@@ -14,12 +14,11 @@ from .bundles import (
     chern_string,
     direct_sum,
     dual,
-    line,
+    rank_cap,
     segre,
     sym,
     sym_chern,
     total_chern,
-    twist,
     ustar,
 )
 from .chow import (
@@ -45,7 +44,6 @@ from .limiting import (
     SplitResult,
     expected_dim,
     is_generically_empty,
-    rank_cap,
     rank_triple,
     sigma_direct,
     sigma_pb,
@@ -96,7 +94,6 @@ __all__ = [
     "integral",
     "is_generically_empty",
     "iter_box_partitions",
-    "line",
     "lr_multiply",
     "pieri_e",
     "pushforward",
@@ -114,7 +111,6 @@ __all__ = [
     "sym_chern",
     "total_chern",
     "total_class",
-    "twist",
     "ustar",
     "verify_identity",
 ]

@@ -1,16 +1,17 @@
 """Chern and Segre classes of formal bundle expressions.
 
-Expressions are small trees: the dual universal subbundle, symmetric
-powers, duals, direct sums, line bundles and line twists.  Total Chern classes
-follow the splitting principle; symmetric powers go through a universal
-table, computed once per (power, rank, degree cap) by multiplying out the
-Chern roots of the power in place, on x-monomials packed into integers,
-reading off the Schur coefficients of the elementary symmetric functions
-of those roots (``sympoly``), and rewriting them in the elementary
-generators of the base roots by the Pieri inversion that the product
-kernel also uses (``partitions.schur_to_elementary``).  A table is
-evaluated in a ring one monomial at a time, each as a memoized shorter
-monomial times one generator.
+Expressions are small trees of the nodes that the split formulas and the
+CLI grammar build: the dual universal subbundle, symmetric powers, duals
+and nonempty direct sums.  Total Chern classes follow the splitting
+principle; symmetric powers go through a universal table, computed once
+per (power, rank, degree cap) by multiplying out the Chern roots of the
+power in place, on x-monomials packed into integers, reading off the
+Schur coefficients of the elementary symmetric functions of those roots
+(``sympoly``), and rewriting them in the elementary generators of the base
+roots by the Pieri inversion that the product kernel also uses
+(``partitions.schur_to_elementary``).  A table is evaluated in a ring one
+monomial at a time, each as a memoized shorter monomial times one
+generator.
 
 The Chern and Segre series of each Sym^m U* are computed once per ring
 and shared by every caller, so the direct and projective-bundle routes of
@@ -26,26 +27,32 @@ known expansions.
 The Segre series is the formal inverse of the Chern series, c(E).s(E) = 1,
 so s1(E) = -c1(E); every downstream formula assumes exactly this
 convention.
+
+Every rank of a symmetric power is formed by ``sym_rank``, which refuses
+one above the cap (``SCHUBFIRE_RANK_CAP``, default 64) before any table is
+built, for the CLI, ``limiting`` and library callers alike.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb
 from typing import Any
 
 from . import sympoly
 from .chow import _Combination, render
+from .errors import RankCapExceededError
 from .partitions import schur_to_elementary
 
 USTAR = "ustar"
 SYM = "sym"
 DUAL = "dual"
-TWIST = "twist"
-LINE = "line"
 SUM = "sum"
+
+RANK_CAP_DEFAULT = 64
+RANK_CAP_ENV = "SCHUBFIRE_RANK_CAP"
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,17 +62,12 @@ class BundleExpr:
     kind: str
     children: tuple = ()
     power: int = 0
-    twist_class: Any = None
 
     def __repr__(self) -> str:
         if self.kind == USTAR:
             return "Ustar"
         if self.kind == SYM:
             return f"sym({self.power},{self.children[0]!r})"
-        if self.kind == LINE:
-            return "line(..)"
-        if self.kind == TWIST:
-            return f"twist({self.children[0]!r})"
         body = ",".join(repr(c) for c in self.children)
         return f"{self.kind}({body})"
 
@@ -85,31 +87,57 @@ def dual(child: BundleExpr) -> BundleExpr:
     return BundleExpr(DUAL, (child,))
 
 
-def twist(child: BundleExpr, t) -> BundleExpr:
-    """Tensor with a line bundle whose first Chern class is t."""
-    return BundleExpr(TWIST, (child,), twist_class=t)
-
-
-def line(t) -> BundleExpr:
-    """A line bundle with first Chern class t."""
-    return BundleExpr(LINE, twist_class=t)
-
-
 def direct_sum(*children: BundleExpr) -> BundleExpr:
+    if not children:
+        raise ValueError("a direct sum needs at least one summand")
     return BundleExpr(SUM, tuple(children))
 
 
+def rank_cap() -> int:
+    """Current symmetric-power rank guardrail (env-overridable)."""
+    raw = os.environ.get(RANK_CAP_ENV)
+    if raw is None:
+        return RANK_CAP_DEFAULT
+    try:
+        value = int(raw)
+    except ValueError as exc:
+        raise ValueError(f"{RANK_CAP_ENV} must be an integer, got {raw!r}") from exc
+    if value < 1:
+        raise ValueError(f"{RANK_CAP_ENV} must be positive, got {value}")
+    return value
+
+
+def sym_rank(e: int, d: int) -> int:
+    """Rank comb(e+d-1, d) of Sym^d of a rank-e bundle.
+
+    Raises RankCapExceededError if it is above the cap, stopping the
+    growing partial products comb(big + j, j) at the first one above it,
+    so no rank with thousands of digits is ever formed.
+    """
+    if e < 1 or d < 1:
+        raise ValueError(f"a symmetric power needs rank and degree >= 1, got {e} and {d}")
+    cap = rank_cap()
+    small, big = sorted((d, e - 1))
+    rank = 1
+    for j in range(1, small + 1):
+        rank = rank * (big + j) // j
+        if rank > cap:
+            raise RankCapExceededError(
+                f"rank of the degree-{d} symmetric power is above the cap {cap} "
+                f"(override with {RANK_CAP_ENV})"
+            )
+    return rank
+
+
 def bundle_rank(expr: BundleExpr, universal_rank: int) -> int:
-    """Rank, with the universal subbundle resolved to the given rank."""
+    """Rank, with the universal subbundle resolved to the given rank; each
+    symmetric power goes through ``sym_rank``, inner powers first."""
     if expr.kind == USTAR:
         return universal_rank
     if expr.kind == SYM:
-        e = bundle_rank(expr.children[0], universal_rank)
-        return comb(e + expr.power - 1, expr.power)
-    if expr.kind in (DUAL, TWIST):
+        return sym_rank(bundle_rank(expr.children[0], universal_rank), expr.power)
+    if expr.kind == DUAL:
         return bundle_rank(expr.children[0], universal_rank)
-    if expr.kind == LINE:
-        return 1
     if expr.kind == SUM:
         return sum(bundle_rank(c, universal_rank) for c in expr.children)
     raise ValueError(f"unknown node kind {expr.kind!r}")
@@ -130,11 +158,10 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
     the bialternant formula and straightening them into the elementary
     generators by the Pieri rule.
     Tables are memoized per (d, k, cap), where cap is the requested degree
-    clipped to the rank of the power.
+    clipped to the rank of the power; a power above the rank cap is refused
+    by ``sym_rank`` before any table is built.
     """
-    if d < 1 or k < 1:
-        raise ValueError("sym_chern needs d >= 1 and k >= 1")
-    r_d = comb(k + d - 1, d)
+    r_d = sym_rank(k, d)
     cap = r_d if max_degree is None else min(max_degree, r_d)
     return _sym_table(d, k, cap)
 
@@ -390,11 +417,6 @@ def total_chern(expr: BundleExpr, ring) -> list:
         if not hasattr(ring, "universal_dual_chern"):
             raise ValueError(f"bundle expressions need a GrassCtx or a ChernCtx, not {ring!r}")
         return _pad(ring.universal_dual_chern(), ring)
-    if kind == LINE:
-        out = [ring.one()] + [ring.zero() for _ in range(cap)]
-        if cap >= 1:
-            out[1] = expr.twist_class
-        return out
     if kind == DUAL:
         inner = total_chern(expr.children[0], ring)
         return [c if i % 2 == 0 else -c for i, c in enumerate(inner)]
@@ -403,23 +425,6 @@ def total_chern(expr: BundleExpr, ring) -> list:
         for child in expr.children:
             acc = _series_mul(acc, total_chern(child, ring), ring)
         return acc
-    if kind == TWIST:
-        child = expr.children[0]
-        t = expr.twist_class
-        e = bundle_rank(child, ring.universal_rank)
-        inner = total_chern(child, ring)
-        t_pows = [ring.one()]
-        for _ in range(cap):
-            t_pows.append(t_pows[-1] * t)
-        out = []
-        for i in range(cap + 1):
-            acc = ring.zero()
-            for j in range(0, min(i, e, len(inner) - 1) + 1):
-                coeff = comb(e - j, i - j)
-                if coeff and inner[j]:
-                    acc = acc + coeff * (inner[j] * t_pows[i - j])
-            out.append(acc)
-        return out
     if kind == SYM:
         if _is_sym_ustar(expr, ring):
             return list(_sym_ustar_series(expr.power, ring)[0])

@@ -11,10 +11,11 @@ Subcommands:
 * ``verify`` -- sweep a parameter grid and check the split identity at
   every point.
 
-Exit codes: 0 success, 2 usage or parse error, 3 guardrail rejection,
-4 verification failure.  ``--format json`` emits one canonical JSON object
-(integers as decimal strings) whose parse/re-serialize round trip is
-byte-identical.
+Exit codes: 0 success, 2 usage or parse error, 3 guardrail rejection
+(a symmetric power above the rank cap, which ``bundles.sym_rank`` refuses
+wherever a rank is formed), 4 verification failure.  ``--format json``
+emits one canonical JSON object (integers as decimal strings) whose
+parse/re-serialize round trip is byte-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from .errors import (
 )
 from .limiting import (
     ProblemParams,
-    _guard,
     expected_dim,
     split,
     total_class,
@@ -162,15 +162,6 @@ class _Parser:
         )
 
 
-def _guard_sym_ranks(expr: bundles.BundleExpr, k: int) -> None:
-    """Applies the rank cap to every symmetric power in the expression,
-    inner powers first, so each power's child has a bounded rank."""
-    for child in expr.children:
-        _guard_sym_ranks(child, k)
-    if expr.kind == bundles.SYM:
-        _guard(bundles.bundle_rank(expr.children[0], k), expr.power)
-
-
 def parse_class_expr(src: str):
     parser = _Parser(_tokenize(src))
     result = parser.class_expr()
@@ -258,8 +249,7 @@ def cmd_class(args) -> int:
     op, degree, expr = parse_class_expr(args.expr)
     grass = GrassCtx(args.r, args.n)  # validates the parameter range for both bases
     k = args.r + 1
-    _guard_sym_ranks(expr, k)
-    rank = bundles.bundle_rank(expr, k)
+    rank = bundles.bundle_rank(expr, k)  # applies the rank cap, inner powers first
     if op == "ctop":
         degree = rank
     # The parser builds only honest bundles, whose Chern classes vanish

@@ -32,7 +32,6 @@ asks for each problem twice, once as k and once as the mirror split's l.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -40,26 +39,8 @@ from typing import NamedTuple
 
 from . import bundles
 from .chow import ChowClass, GrassCtx, integral
-from .errors import RankCapExceededError, RouteMismatchError
+from .errors import RouteMismatchError
 from .projbundle import PBClass, PBCtx, pushforward_product
-
-RANK_CAP_DEFAULT = 64
-RANK_CAP_ENV = "SCHUBFIRE_RANK_CAP"
-
-
-def rank_cap() -> int:
-    """Current symmetric-power rank guardrail (env-overridable)."""
-    raw = os.environ.get(RANK_CAP_ENV)
-    if raw is None:
-        return RANK_CAP_DEFAULT
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{RANK_CAP_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{RANK_CAP_ENV} must be positive, got {value}")
-    return value
-
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -95,22 +76,6 @@ def rank_triple(r: int, d: int, k: int) -> RankTriple:
     return RankTriple(comb(r + d, d), comb(r + k, k), comb(r + d - k, d - k))
 
 
-def _guard(e: int, d: int) -> None:
-    """Rejects Sym^d of a rank-e bundle if its rank comb(e+d-1, d) is above the
-    cap, stopping the growing partial products comb(big + j, j) at the first
-    one above it, so no rank with thousands of digits is ever formed."""
-    cap = rank_cap()
-    small, big = sorted((d, e - 1))
-    rank = 1
-    for j in range(1, small + 1):
-        rank = rank * (big + j) // j
-        if rank > cap:
-            raise RankCapExceededError(
-                f"rank of the degree-{d} symmetric power is above the cap {cap} "
-                f"(override with {RANK_CAP_ENV})"
-            )
-
-
 def expected_dim(r: int, n: int, d: int) -> int:
     """Dimension of the family of r-planes on a generic degree-d hypersurface."""
     ProblemParams(r, n, d)
@@ -124,8 +89,7 @@ def _sym_ustar(m: int) -> bundles.BundleExpr:
 def total_class(r: int, n: int, d: int) -> ChowClass:
     """Class of the r-planes on a generic degree-d hypersurface in P^n."""
     ProblemParams(r, n, d)
-    _guard(r + 1, d)
-    r_d = comb(r + d, d)
+    r_d = bundles.sym_rank(r + 1, d)
     ctx = GrassCtx(r, n)
     if r_d > ctx.dim:
         return ctx.zero()
@@ -159,7 +123,7 @@ def sigma_direct(r: int, n: int, d: int, k: int) -> ChowClass:
     whose second term is absent when Q < 0 (always, on lines).
     """
     ProblemParams(r, n, d, k)
-    _guard(r + 1, d)
+    bundles.sym_rank(r + 1, d)
     return _sigma_direct_cached(r, n, d, k)
 
 
@@ -220,7 +184,7 @@ def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:
     does not share ``sigma_direct``'s collapse through c(E) s(E) = 1.
     """
     ProblemParams(r, n, d, k)
-    _guard(r + 1, d)
+    bundles.sym_rank(r + 1, d)
     return _sigma_pb_cached(r, n, d, k)
 
 

@@ -31,9 +31,7 @@ class PBCtx:
     """
 
     def __init__(self, base: GrassCtx, bundle: bundles.BundleExpr):
-        rank = bundles.bundle_rank(bundle, base.k)
-        if rank < 1:
-            raise ValueError(f"projective bundle needs rank >= 1, got {rank}")
+        rank = bundles.bundle_rank(bundle, base.k)  # >= 1, and inside the rank cap
         self.base = base
         self.rank = rank
         self.top_degree = base.dim + rank - 1

@@ -6,6 +6,7 @@ pass/fail lines.  All assertions are exact integer or class equalities.
 
 from math import comb
 
+from schubfire import rank_cap
 from schubfire.bundles import (
     ChernCtx,
     segre,
@@ -18,7 +19,6 @@ from schubfire.chow import GrassCtx, integral, schubert_string
 from schubfire.limiting import (
     expected_dim,
     is_generically_empty,
-    rank_cap,
     sigma_direct,
     sigma_pb,
     split,

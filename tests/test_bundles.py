@@ -1,6 +1,7 @@
 """Splitting-principle Chern/Segre calculus and the symmetric-power tables."""
 
 import hashlib
+import time
 from math import comb
 
 import pytest
@@ -11,30 +12,54 @@ from schubfire.bundles import (
     chern_string,
     direct_sum,
     dual,
-    line,
     segre,
     sym,
     sym_chern,
     total_chern,
-    twist,
     ustar,
 )
 from schubfire.chow import GrassCtx, schubert_string
-
-from _oracles import twisted_segre
+from schubfire.errors import RankCapExceededError
+from schubfire.projbundle import PBCtx
 
 
 def test_bundle_rank():
     assert bundle_rank(ustar(), 3) == 3
     assert bundle_rank(sym(2, ustar()), 3) == 6
     assert bundle_rank(sym(3, ustar()), 4) == 20
-    assert bundle_rank(direct_sum(ustar(), line(None)), 3) == 4
+    assert bundle_rank(sym(2, direct_sum(ustar(), ustar())), 3) == 21
     assert bundle_rank(dual(sym(2, ustar())), 2) == 3
+    # the inner power is refused first, before any huge rank is formed
+    started = time.perf_counter()
+    with pytest.raises(RankCapExceededError, match="degree-99999 symmetric power"):
+        bundle_rank(sym(99999, sym(99999, ustar())), 3)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_node_restrictions():
     with pytest.raises(ValueError):
         sym(0, ustar())
+    with pytest.raises(ValueError):
+        direct_sum()
+
+
+# Sym^9 of a rank-4 bundle has rank C(12, 9) = 220, above the default cap
+# of 64; without the cap each of these ran for more than ten seconds.
+LIBRARY_CALLS = {
+    "sym_chern": lambda: sym_chern(9, 4),
+    "total_chern": lambda: total_chern(sym(9, ustar()), GrassCtx(3, 30)),
+    "segre": lambda: segre(sym(9, ustar()), GrassCtx(3, 30)),
+    "PBCtx": lambda: PBCtx(GrassCtx(3, 30), sym(9, ustar())),
+}
+
+
+@pytest.mark.parametrize("call", sorted(LIBRARY_CALLS))
+def test_library_calls_apply_the_rank_cap(monkeypatch, call):
+    monkeypatch.delenv("SCHUBFIRE_RANK_CAP", raising=False)
+    started = time.perf_counter()
+    with pytest.raises(RankCapExceededError, match="degree-9 symmetric power"):
+        LIBRARY_CALLS[call]()
+    assert time.perf_counter() - started < 1.0
 
 
 def test_sym_table_degree_one_is_identity():
@@ -176,42 +201,6 @@ def test_segre_inverse_property():
             for i in range(p + 1):
                 acc = acc + c[i] * s[p - i]
             assert acc == g.zero(), (e, p)
-
-
-def test_twist_zero_is_identity():
-    g = GrassCtx(2, 5)
-    e = sym(2, ustar())
-    c = total_chern(e, g)
-    ct = total_chern(twist(e, g.zero()), g)
-    st = segre(twist(e, g.zero()), g)
-    s = segre(e, g)
-    for i in range(g.dim + 1):
-        assert ct[i] == c[i]
-        assert st[i] == s[i]
-
-
-def test_twist_chern_matches_split_roots():
-    # rank-2 check against a hand expansion: roots a+t, b+t
-    g = GrassCtx(1, 3)
-    t = g.sigma((1,))
-    e = ustar()
-    ct = total_chern(twist(e, t), g)
-    c1 = g.sigma((1,))
-    c2 = g.sigma((1, 1))
-    assert ct[1] == c1 + 2 * t
-    assert ct[2] == c2 + c1 * t + t * t
-
-
-@pytest.mark.parametrize("ring", [GrassCtx(1, 4), ChernCtx(3, 6)], ids=["grass", "chern"])
-def test_twist_segre_closed_form_matches_inversion(ring):
-    # segre inverts the twisted Chern series; the closed form in the oracle
-    # is the identity behind the binomial of limiting.sigma_pb
-    t = ring.gen(1) if isinstance(ring, ChernCtx) else ring.sigma((1,))
-    e = sym(2, ustar())
-    s = segre(e, ring)
-    got = segre(twist(e, t), ring)
-    assert got == twisted_segre(s, bundle_rank(e, ring.universal_rank), t, ring)
-    assert got[1] != s[1]  # the twist is not the identity here
 
 
 def test_sym_chern_agrees_with_root_polynomial_straightening():

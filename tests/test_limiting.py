@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from schubfire import bundles, limiting
+from schubfire import bundles, limiting, rank_cap
 from schubfire.bundles import segre, sym, total_chern, ustar
 from schubfire.chow import ChowClass, GrassCtx, integral, schubert_string
 from schubfire.errors import RankCapExceededError
@@ -13,7 +13,6 @@ from schubfire.limiting import (
     ProblemParams,
     expected_dim,
     is_generically_empty,
-    rank_cap,
     rank_triple,
     sigma_direct,
     sigma_pb,
@@ -196,6 +195,16 @@ def test_rank_guardrail(monkeypatch):
         total_class(1, 3, 3)
     monkeypatch.delenv("SCHUBFIRE_RANK_CAP")
     assert integral(total_class(1, 3, 3)) == 27
+    # the default cap is 64: Sym^1 of rank 64 and Sym^63 of rank 2 pass,
+    # one more in either shape is refused; Sym^d of a line bundle has rank 1
+    assert bundles.sym_rank(64, 1) == bundles.sym_rank(2, 63) == 64
+    for e, d in ((65, 1), (2, 64)):
+        with pytest.raises(RankCapExceededError):
+            bundles.sym_rank(e, d)
+    assert [bundles.sym_rank(1, d) for d in (1, 2, 99999)] == [1, 1, 1]
+    for e, d in ((0, 2), (2, 0)):
+        with pytest.raises(ValueError):
+            bundles.sym_rank(e, d)
 
 
 def test_route_mismatch_guard():

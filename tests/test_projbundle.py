@@ -2,7 +2,7 @@
 
 import pytest
 
-from schubfire.bundles import direct_sum, line, segre, sym, total_chern, ustar
+from schubfire.bundles import direct_sum, segre, sym, total_chern, ustar
 from schubfire.chow import GrassCtx
 from schubfire.errors import ContextMismatchError
 from schubfire.projbundle import PBClass, PBCtx, pushforward
@@ -40,13 +40,14 @@ def test_pb_mul_unit_and_zero(setup):
 
 
 def test_trivial_bundle_projective_space_relation():
-    # trivial rank-3 bundle: the ring is a projective plane over the base,
-    # so zeta^(e-1) * zeta = 0
-    g = GrassCtx(1, 3)
-    triv = direct_sum(line(g.zero()), line(g.zero()), line(g.zero()))
-    pb = PBCtx(g, triv)
-    assert _zeta_power(pb, 2) * pb.zeta() == pb.zero()
-    assert _zeta_power(pb, 2) != pb.zero()
+    # E = O(1)^3 over P^3 is the trivial rank-3 bundle twisted by O(1), so
+    # P(E) is a projective plane over the base: the zeta relation of E is
+    # (zeta + h)^3 = 0, and w = zeta + h is the zeta of the trivial bundle
+    g = GrassCtx(0, 3)
+    pb = PBCtx(g, direct_sum(ustar(), ustar(), ustar()))
+    w = pb.zeta() + pb.pullback(g.sigma((1,)))
+    assert w * w * w == pb.zero()
+    assert w * w != pb.zero()
 
 
 def test_relation_reduction_rank_two():

@@ -341,11 +341,6 @@ def test_whitney_formula_on_random_bundles(ring, e, f):
     assert c(bundles.dual(bundles.direct_sum(e, f)), ring) == _convolve(
         c(bundles.dual(e), ring), c(bundles.dual(f), ring), ring
     )
-    # Sym^2(E + L) = Sym^2 E + E (x) L + L^2 for a line bundle L, + the direct sum
-    t = ring.gen(1) if isinstance(ring, ChernCtx) else ring.sigma((1,))
-    expect = _convolve(c(bundles.sym(2, e), ring), c(bundles.twist(e, t), ring), ring)
-    expect = _convolve(expect, c(bundles.line(2 * t), ring), ring)
-    assert c(bundles.sym(2, bundles.direct_sum(e, bundles.line(t))), ring) == expect
 
 
 @st.composite
