@@ -40,11 +40,9 @@ from .errors import (
 )
 from .limiting import (
     ProblemParams,
-    RankTriple,
     SplitResult,
     expected_dim,
     is_generically_empty,
-    rank_triple,
     sigma_direct,
     sigma_pb,
     split,
@@ -79,7 +77,6 @@ __all__ = [
     "PBCtx",
     "ProblemParams",
     "RankCapExceededError",
-    "RankTriple",
     "RouteMismatchError",
     "SchubfireError",
     "SplitResult",
@@ -99,7 +96,6 @@ __all__ = [
     "pushforward",
     "pushforward_product",
     "rank_cap",
-    "rank_triple",
     "schubert_string",
     "schur_expand",
     "segre",

@@ -13,10 +13,11 @@ roots by the Pieri inversion that the product kernel also uses
 monomial at a time, each as a memoized shorter monomial times one
 generator.
 
-The Chern and Segre series of each Sym^m U* are computed once per ring
-and shared by every caller, so the direct and projective-bundle routes of
-``limiting`` draw on the same classes.  The Segre series is only ever
-inverted up to the highest degree asked for so far.
+The Chern and Segre series of every expression are computed once per
+ring, memoized by the expression's structure and the ring, and shared by
+every caller, so the direct and projective-bundle routes of ``limiting``
+draw on the same classes.  The Segre series is only ever inverted up to
+the highest degree asked for so far.
 
 A ring context provides ``top_degree``, ``universal_rank``, ``one()``,
 ``zero()`` and ``universal_dual_chern()``.  The two rings are the
@@ -30,7 +31,9 @@ convention.
 
 Every rank of a symmetric power is formed by ``sym_rank``, which refuses
 one above the cap (``SCHUBFIRE_RANK_CAP``, default 64) before any table is
-built, for the CLI, ``limiting`` and library callers alike.
+built, for the CLI, ``limiting`` and library callers alike.  ``total_chern``
+and ``segre`` check the cap on every call, before the memo, so a series
+computed under a higher cap is refused once the cap is lowered.
 """
 
 from __future__ import annotations
@@ -55,9 +58,9 @@ RANK_CAP_DEFAULT = 64
 RANK_CAP_ENV = "SCHUBFIRE_RANK_CAP"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class BundleExpr:
-    """A node of a formal bundle expression (compare by identity)."""
+    """A node of a formal bundle expression (compare by structure)."""
 
     kind: str
     children: tuple = ()
@@ -381,61 +384,50 @@ def _pad(series: list, ring) -> list:
     return out
 
 
-def _is_sym_ustar(expr: BundleExpr, ring) -> bool:
-    return (
-        expr.kind == SYM
-        and expr.children[0].kind == USTAR
-        and hasattr(ring, "universal_dual_chern")
-    )
+def _checked_series(expr: BundleExpr, ring) -> tuple[tuple, list]:
+    if not hasattr(ring, "universal_dual_chern"):
+        raise ValueError(f"bundle expressions need a GrassCtx or a ChernCtx, not {ring!r}")
+    bundle_rank(expr, ring.universal_rank)  # the cap holds on a memo hit too
+    return _series(expr, ring)
 
 
 @lru_cache(maxsize=None)
-def _sym_ustar_series(m: int, ring) -> tuple[tuple, list]:
-    """Chern series of Sym^m U* on the ring, and a prefix of its Segre series.
+def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
+    """Chern series of the expression on the ring, and a prefix of its
+    Segre series.
 
     The Segre list is extended in place by ``segre`` as callers ask for
-    higher degrees; it is never handed out itself, only copies of it.
+    higher degrees; neither is handed out itself, only copies of them.
     """
-    chern = tuple(_sym_series(m, ustar(), ring))
-    return chern, [ring.one()]
-
-
-def _sym_series(power: int, child: BundleExpr, ring) -> list:
-    inner = total_chern(child, ring)
-    k_child = bundle_rank(child, ring.universal_rank)
-    table = sym_chern(power, k_child, max_degree=ring.top_degree)
-    gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
-    ev = _MonomialEvaluator(gens, ring)
-    return _pad([ev.poly(entry) for entry in table], ring)
+    cap = ring.top_degree
+    kind = expr.kind
+    if kind == USTAR:
+        chern = _pad(ring.universal_dual_chern(), ring)
+    elif kind == DUAL:
+        inner = _series(expr.children[0], ring)[0]
+        chern = [c if i % 2 == 0 else -c for i, c in enumerate(inner)]
+    elif kind == SUM:
+        chern = [ring.one()] + [ring.zero() for _ in range(cap)]
+        for child in expr.children:
+            chern = _series_mul(chern, _series(child, ring)[0], ring)
+    else:  # SYM; bundle_rank has refused every other kind
+        child = expr.children[0]
+        inner = _series(child, ring)[0]
+        k_child = bundle_rank(child, ring.universal_rank)
+        table = sym_chern(expr.power, k_child, max_degree=cap)
+        gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
+        ev = _MonomialEvaluator(gens, ring)
+        chern = _pad([ev.poly(entry) for entry in table], ring)
+    return tuple(chern), [ring.one()]
 
 
 def total_chern(expr: BundleExpr, ring) -> list:
     """Total Chern class as a list of ring elements, degrees 0..top_degree."""
-    cap = ring.top_degree
-    kind = expr.kind
-    if kind == USTAR:
-        if not hasattr(ring, "universal_dual_chern"):
-            raise ValueError(f"bundle expressions need a GrassCtx or a ChernCtx, not {ring!r}")
-        return _pad(ring.universal_dual_chern(), ring)
-    if kind == DUAL:
-        inner = total_chern(expr.children[0], ring)
-        return [c if i % 2 == 0 else -c for i, c in enumerate(inner)]
-    if kind == SUM:
-        acc = [ring.one()] + [ring.zero() for _ in range(cap)]
-        for child in expr.children:
-            acc = _series_mul(acc, total_chern(child, ring), ring)
-        return acc
-    if kind == SYM:
-        if _is_sym_ustar(expr, ring):
-            return list(_sym_ustar_series(expr.power, ring)[0])
-        return _sym_series(expr.power, expr.children[0], ring)
-    raise ValueError(f"unknown node kind {kind!r}")
+    return list(_checked_series(expr, ring)[0])
 
 
 def segre(expr: BundleExpr, ring, max_degree: int | None = None) -> list:
     """Segre classes s_0..s_cap, the inverse series of the total Chern class."""
     cap = ring.top_degree if max_degree is None else min(max_degree, ring.top_degree)
-    if _is_sym_ustar(expr, ring):
-        chern, s = _sym_ustar_series(expr.power, ring)
-        return _extend_inverse(chern, s, ring, cap)[: cap + 1]
-    return _extend_inverse(total_chern(expr, ring), [ring.one()], ring, cap)
+    chern, s = _checked_series(expr, ring)
+    return _extend_inverse(chern, s, ring, cap)[: cap + 1]

@@ -33,13 +33,7 @@ from .errors import (
     RouteMismatchError,
     SchubfireError,
 )
-from .limiting import (
-    ProblemParams,
-    expected_dim,
-    split,
-    total_class,
-    verify_identity,
-)
+from .limiting import expected_dim, split, total_class, verify_identity
 
 USAGE_EXIT = 2
 GUARDRAIL_EXIT = 3
@@ -176,7 +170,6 @@ def parse_class_expr(src: str):
 
 def cmd_count(args) -> int:
     started = _now_ms()
-    ProblemParams(args.r, args.n, args.d)
     total = total_class(args.r, args.n, args.d)  # guards the rank before any binomial
     m = expected_dim(args.r, args.n, args.d)
     computed = _now_ms()

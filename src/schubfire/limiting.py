@@ -35,7 +35,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import NamedTuple
 
 from . import bundles
 from .chow import ChowClass, GrassCtx, integral
@@ -62,18 +61,6 @@ class ProblemParams:
     @property
     def l(self) -> int | None:
         return None if self.k is None else self.d - self.k
-
-
-class RankTriple(NamedTuple):
-    """Ranks of the three symmetric powers entering a split."""
-
-    r_d: int
-    r_k: int
-    r_l: int
-
-
-def rank_triple(r: int, d: int, k: int) -> RankTriple:
-    return RankTriple(comb(r + d, d), comb(r + k, k), comb(r + d - k, d - k))
 
 
 def expected_dim(r: int, n: int, d: int) -> int:
@@ -131,7 +118,7 @@ def sigma_direct(r: int, n: int, d: int, k: int) -> ChowClass:
 def _sigma_direct_cached(r: int, n: int, d: int, k: int) -> ChowClass:
     ctx = GrassCtx(r, n)
     l = d - k
-    r_d, r_k, r_l = rank_triple(r, d, k)
+    r_d, r_k, r_l = (bundles.sym_rank(r + 1, m) for m in (d, k, d - k))
     if r_d > ctx.dim or r_k > ctx.dim:
         return ctx.zero()
     R = r_d - r_k
@@ -191,7 +178,7 @@ def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:
 @lru_cache(maxsize=None)
 def _sigma_pb_cached(r: int, n: int, d: int, k: int) -> ChowClass:
     ctx = GrassCtx(r, n)
-    r_d, r_k, r_l = rank_triple(r, d, k)
+    r_d, r_k, r_l = (bundles.sym_rank(r + 1, m) for m in (d, k, d - k))
     if r_d > ctx.dim or r_k > ctx.dim:
         return ctx.zero()
     R = r_d - r_k
@@ -282,7 +269,6 @@ def split(r: int, n: int, d: int, k: int, route: str = "direct") -> SplitResult:
 
 
 def verify_identity(r: int, n: int, d: int, k: int) -> bool:
-    """Exact class equality: component classes sum to the total class."""
-    ProblemParams(r, n, d, k)
-    l = d - k
-    return (sigma_direct(r, n, d, k) + sigma_direct(r, n, d, l)) == total_class(r, n, d)
+    """Exact class equality, as ``split`` checks it: the component classes
+    sum to the total class."""
+    return split(r, n, d, k).identity_ok

@@ -19,7 +19,6 @@ from math import comb
 
 from schubfire import bundles
 from schubfire.chow import GrassCtx
-from schubfire.limiting import rank_triple
 
 
 def lr_coefficient(lam, mu, nu):
@@ -191,7 +190,7 @@ def sigma_triple_sum(r, n, d, k):
     docstring, with the sum over j hoisted into W[p] but not simplified."""
     ctx = GrassCtx(r, n)
     l = d - k
-    r_d, r_k, r_l = rank_triple(r, d, k)
+    r_d, r_k, r_l = comb(r + d, d), comb(r + k, k), comb(r + l, l)
     if r_d > ctx.dim or r_k > ctx.dim:
         return ctx.zero()
     R = r_d - r_k

@@ -6,7 +6,9 @@ from math import comb
 
 import pytest
 
+from schubfire import bundles
 from schubfire.bundles import (
+    RANK_CAP_ENV,
     ChernCtx,
     bundle_rank,
     chern_string,
@@ -240,27 +242,63 @@ def test_sym_chern_agrees_with_root_polynomial_straightening():
             assert schur_expand(series[i], g) == table_route[i], (r, n, d, i)
 
 
+# Every expression has its series memoized, not only the powers of U*.
+MEMOIZED_EXPRS = [
+    sym(2, ustar()),
+    dual(sym(2, ustar())),
+    direct_sum(ustar(), sym(2, ustar())),
+]
+
+
 def test_sym_ustar_segre_grows_to_the_same_series(clear_caches):
     g = GrassCtx(2, 5)
-    e = sym(2, ustar())
-    short = segre(e, g, max_degree=3)
-    assert len(short) == 4
-    grown = segre(e, g, max_degree=g.dim)
-    assert grown[:4] == short
-    clear_caches()
-    assert segre(e, g, max_degree=g.dim) == grown
+    for e in MEMOIZED_EXPRS:
+        short = segre(e, g, max_degree=3)
+        assert len(short) == 4
+        grown = segre(e, g, max_degree=g.dim)
+        assert grown[:4] == short, e
+        clear_caches()
+        assert segre(e, g, max_degree=g.dim) == grown, e
 
 
 def test_sym_ustar_series_are_returned_as_copies(clear_caches):
     g = GrassCtx(2, 5)
-    e = sym(2, ustar())
-    c = total_chern(e, g)
-    s = segre(e, g, max_degree=4)
-    expected = (list(c), list(s))
-    c[1] = g.zero()
-    s[1] = g.zero()
-    s.append(g.one())
-    assert (total_chern(e, g), segre(e, g, max_degree=4)) == expected
+    for e in MEMOIZED_EXPRS:
+        c = total_chern(e, g)
+        s = segre(e, g, max_degree=4)
+        expected = (list(c), list(s))
+        c[1] = g.zero()
+        s[1] = g.zero()
+        s.append(g.one())
+        assert (total_chern(e, g), segre(e, g, max_degree=4)) == expected, e
+
+
+def test_lowering_the_cap_refuses_a_memoized_series(monkeypatch):
+    monkeypatch.delenv(RANK_CAP_ENV, raising=False)
+    g = GrassCtx(1, 5)
+    e = sym(3, ustar())  # rank 4
+    total_chern(e, g)
+    segre(e, g)
+    monkeypatch.setenv(RANK_CAP_ENV, "3")
+    with pytest.raises(RankCapExceededError):
+        total_chern(e, g)
+    with pytest.raises(RankCapExceededError):
+        segre(e, g)
+
+
+def test_series_are_memoized_by_structure(clear_caches):
+    e = sym(2, sym(2, ustar()))
+    assert e == sym(2, sym(2, ustar())) and e is not sym(2, sym(2, ustar()))
+    assert hash(e) == hash(sym(2, sym(2, ustar())))
+    before = bundles._series.cache_info().misses
+    total_chern(direct_sum(e, e), GrassCtx(1, 5))
+    # one miss each for U*, Sym^2 U*, e and the sum; the second e is a hit
+    assert bundles._series.cache_info().misses - before == 4
+    pb = PBCtx(GrassCtx(1, 3), sym(2, ustar()))
+    with pytest.raises(ValueError):
+        total_chern(e, pb)
+    with pytest.raises(ValueError):
+        segre(e, pb)
 
 
 def test_sym_ustar_needs_the_universal_bundle():

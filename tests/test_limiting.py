@@ -13,7 +13,6 @@ from schubfire.limiting import (
     ProblemParams,
     expected_dim,
     is_generically_empty,
-    rank_triple,
     sigma_direct,
     sigma_pb,
     split,
@@ -223,10 +222,10 @@ def test_routes_share_the_sym_ustar_memo(clear_caches):
     from schubfire import bundles
 
     sigma_direct(3, 8, 3, 1)
-    misses = bundles._sym_ustar_series.cache_info().misses
-    assert misses == 3  # Sym^3, Sym^2 and Sym^1 of U* on G(4, 9)
+    misses = bundles._series.cache_info().misses
+    assert misses == 4  # U*, and Sym^3, Sym^2 and Sym^1 of it, on G(4, 9)
     sigma_pb(3, 8, 3, 1)
-    assert bundles._sym_ustar_series.cache_info().misses == misses
+    assert bundles._series.cache_info().misses == misses
 
 
 @pytest.mark.parametrize("r,n,d,k", [(3, 8, 3, 1), (2, 9, 5, 2)])
@@ -248,12 +247,12 @@ TRIPLE_SUM_GRID = [
     for n in range(r + 1, 10)
     for d in range(2, 5)
     for k in range(1, d)
-    if max(rank_triple(r, d, k)) <= rank_cap()
+    if comb(r + d, d) <= rank_cap()  # the largest of the three ranks
 ]
 
 
 def _regimes(r, n, d, k):
-    r_d, r_k, r_l = rank_triple(r, d, k)
+    r_d, r_k, r_l = comb(r + d, d), comb(r + k, k), comb(r + d - k, d - k)
     q = r_d - r_k - r_l
     m = expected_dim(r, n, d)
     return {
