@@ -19,11 +19,12 @@ every caller, so the direct and projective-bundle routes of ``limiting``
 draw on the same classes.  The Segre series is only ever inverted up to
 the highest degree asked for so far.
 
-A ring context provides ``top_degree``, ``universal_rank``, ``one()``,
-``zero()`` and ``universal_dual_chern()``.  The two rings are the
-Schubert basis of a Grassmannian (GrassCtx) and the free presentation in
-c1..ck (ChernCtx below), used for printing and for regressions against
-known expansions.
+A ring context provides ``k`` (the rank of the universal subbundle),
+``top_degree``, ``one()``, ``zero()`` and ``universal_dual_chern()`` (c_0
+up to c_top of its dual, zero above k).  The two rings are the Schubert
+basis of a Grassmannian (GrassCtx) and the free presentation in c1..ck
+(ChernCtx below), used for printing and for regressions against known
+expansions.
 
 The Segre series is the formal inverse of the Chern series, c(E).s(E) = 1,
 so s1(E) = -c1(E); every downstream formula assumes exactly this
@@ -132,17 +133,17 @@ def sym_rank(e: int, d: int) -> int:
     return rank
 
 
-def bundle_rank(expr: BundleExpr, universal_rank: int) -> int:
-    """Rank, with the universal subbundle resolved to the given rank; each
+def bundle_rank(expr: BundleExpr, k: int) -> int:
+    """Rank, with the universal subbundle resolved to rank k; each
     symmetric power goes through ``sym_rank``, inner powers first."""
     if expr.kind == USTAR:
-        return universal_rank
+        return k
     if expr.kind == SYM:
-        return sym_rank(bundle_rank(expr.children[0], universal_rank), expr.power)
+        return sym_rank(bundle_rank(expr.children[0], k), expr.power)
     if expr.kind == DUAL:
-        return bundle_rank(expr.children[0], universal_rank)
+        return bundle_rank(expr.children[0], k)
     if expr.kind == SUM:
-        return sum(bundle_rank(c, universal_rank) for c in expr.children)
+        return sum(bundle_rank(c, k) for c in expr.children)
     raise ValueError(f"unknown node kind {expr.kind!r}")
 
 
@@ -223,28 +224,19 @@ class ChernCtx:
     k: int
     top_degree: int
 
-    @property
-    def universal_rank(self) -> int:
-        return self.k
-
     def zero(self) -> "ChernPoly":
         return ChernPoly._from_clean(self, {})
 
     def one(self) -> "ChernPoly":
         return ChernPoly._from_clean(self, {(0,) * self.k: 1})
 
-    def gen(self, i: int) -> "ChernPoly":
-        """The generator c_i, 1-based; zero above k."""
-        if i == 0:
-            return self.one()
-        if not 1 <= i <= self.k:
-            return self.zero()
-        exps = [0] * self.k
-        exps[i - 1] = 1
-        return ChernPoly._from_clean(self, {tuple(exps): 1}) if i <= self.top_degree else self.zero()
-
     def universal_dual_chern(self) -> list["ChernPoly"]:
-        return [self.gen(i) for i in range(self.top_degree + 1)]
+        """c_0..c_top: the unit, then the generators c_i, zero above k."""
+        out = [self.one()]
+        for i in range(1, self.top_degree + 1):
+            exps = tuple(int(j == i - 1) for j in range(self.k))
+            out.append(ChernPoly._from_clean(self, {exps: 1}) if i <= self.k else self.zero())
+        return out
 
 
 def _weighted_degree(exps: tuple[int, ...]) -> int:
@@ -376,18 +368,10 @@ def _extend_inverse(c, s: list, ring, max_degree: int) -> list:
     return s
 
 
-def _pad(series: list, ring) -> list:
-    cap = ring.top_degree
-    out = list(series[: cap + 1])
-    while len(out) < cap + 1:
-        out.append(ring.zero())
-    return out
-
-
 def _checked_series(expr: BundleExpr, ring) -> tuple[tuple, list]:
     if not hasattr(ring, "universal_dual_chern"):
         raise ValueError(f"bundle expressions need a GrassCtx or a ChernCtx, not {ring!r}")
-    bundle_rank(expr, ring.universal_rank)  # the cap holds on a memo hit too
+    bundle_rank(expr, ring.k)  # the cap holds on a memo hit too
     return _series(expr, ring)
 
 
@@ -402,7 +386,7 @@ def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
     cap = ring.top_degree
     kind = expr.kind
     if kind == USTAR:
-        chern = _pad(ring.universal_dual_chern(), ring)
+        chern = ring.universal_dual_chern()
     elif kind == DUAL:
         inner = _series(expr.children[0], ring)[0]
         chern = [c if i % 2 == 0 else -c for i, c in enumerate(inner)]
@@ -413,11 +397,12 @@ def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
     else:  # SYM; bundle_rank has refused every other kind
         child = expr.children[0]
         inner = _series(child, ring)[0]
-        k_child = bundle_rank(child, ring.universal_rank)
+        k_child = bundle_rank(child, ring.k)
         table = sym_chern(expr.power, k_child, max_degree=cap)
         gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
         ev = _MonomialEvaluator(gens, ring)
-        chern = _pad([ev.poly(entry) for entry in table], ring)
+        chern = [ev.poly(entry) for entry in table]
+        chern += [ring.zero()] * (cap + 1 - len(chern))
     return tuple(chern), [ring.one()]
 
 

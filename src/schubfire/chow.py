@@ -65,10 +65,6 @@ class GrassCtx:
     def top_degree(self) -> int:
         return self.dim
 
-    @property
-    def universal_rank(self) -> int:
-        return self.k
-
     def zero(self) -> "ChowClass":
         return ChowClass._from_clean(self, {})
 

@@ -16,6 +16,7 @@ known degeneration counts and are exercised end-to-end by the tests.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from . import bundles
@@ -23,36 +24,31 @@ from .chow import ChowClass, GrassCtx, _Combination
 from .errors import ContextMismatchError
 
 
+@dataclass(frozen=True)
 class PBCtx:
-    """Context for P(E) over a Grassmannian base.
+    """Context for P(E) over a Grassmannian base, compared and hashed by
+    its base and the expression of E, like ``GrassCtx(r, n)``.
 
-    It keeps c_0..c_e(E) on the base, the coefficients of the zeta
-    relation; nothing else about E is needed to multiply or push forward.
+    It derives the rank of E and c_0..c_e(E) on the base, the coefficients
+    of the zeta relation; nothing else about E is needed to multiply or
+    push forward.
     """
 
-    def __init__(self, base: GrassCtx, bundle: bundles.BundleExpr):
-        rank = bundles.bundle_rank(bundle, base.k)  # >= 1, and inside the rank cap
-        self.base = base
-        self.rank = rank
-        self.top_degree = base.dim + rank - 1
-        chern = bundles.total_chern(bundle, base)
-        self.chern_e: tuple[ChowClass, ...] = tuple(
-            chern[i] if i < len(chern) else base.zero() for i in range(rank + 1)
-        )
+    base: GrassCtx
+    bundle: bundles.BundleExpr
+    rank: int = field(init=False, compare=False, repr=False)
+    chern_e: tuple[ChowClass, ...] = field(init=False, compare=False, repr=False)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PBCtx):
-            return NotImplemented
-        return (
-            self.base == other.base
-            and self.rank == other.rank
-            and all(a == b for a, b in zip(self.chern_e, other.chern_e))
-        )
+    def __post_init__(self) -> None:
+        rank = bundles.bundle_rank(self.bundle, self.base.k)  # >= 1, and inside the rank cap
+        chern = bundles.total_chern(self.bundle, self.base)
+        chern += [self.base.zero()] * (rank + 1 - len(chern))
+        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "chern_e", tuple(chern[: rank + 1]))
 
-    __hash__ = None  # type: ignore[assignment]
-
-    def __repr__(self) -> str:
-        return f"PBCtx(G({self.base.k},{self.base.n + 1}), rank {self.rank})"
+    @property
+    def top_degree(self) -> int:
+        return self.base.dim + self.rank - 1
 
     def zero(self) -> "PBClass":
         return PBClass._from_clean(self, {})

@@ -2,10 +2,10 @@
 
 import pytest
 
-from schubfire.bundles import direct_sum, segre, sym, total_chern, ustar
+from schubfire.bundles import ChernCtx, direct_sum, dual, segre, sym, total_chern, ustar
 from schubfire.chow import GrassCtx
 from schubfire.errors import ContextMismatchError
-from schubfire.projbundle import PBClass, PBCtx, pushforward
+from schubfire.projbundle import PBClass, PBCtx, pushforward, pushforward_product
 
 
 def _zeta_power(pb, p):
@@ -157,3 +157,30 @@ def test_mixed_context_rejected(setup):
         pb.zeta() + other.zeta()
     with pytest.raises(ContextMismatchError):
         PBClass(pb, (GrassCtx(2, 5).one(),) * pb.rank)
+
+
+def test_ring_contexts_are_values():
+    builders = (
+        lambda: GrassCtx(2, 4),
+        lambda: ChernCtx(3, 6),
+        lambda: PBCtx(GrassCtx(2, 4), sym(2, ustar())),
+    )
+    for build in builders:
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+    # classes of two separately built but equal contexts combine as one ring
+    g = GrassCtx(2, 4)
+    one, two = PBCtx(g, sym(2, ustar())), PBCtx(GrassCtx(2, 4), sym(2, ustar()))
+    x = one.zeta() + one.pullback(g.sigma((1,)))
+    y, y_one = two.zeta() * two.zeta(), one.zeta() * one.zeta()
+    assert x + y == x + y_one
+    assert x * y == x * y_one
+    assert pushforward_product(x, y) == pushforward(x * y_one)
+    # another bundle over the same base is another ring
+    for bundle in (dual(sym(2, ustar())), direct_sum(ustar(), ustar(), ustar())):
+        other = PBCtx(g, bundle).zeta()
+        for op in (lambda: x + other, lambda: x * other, lambda: pushforward_product(x, other)):
+            with pytest.raises(ContextMismatchError):
+                op()
+    # equal by structure, not by Chern classes: sym(1, U*) has those of U*
+    assert PBCtx(g, sym(1, ustar())) != PBCtx(g, ustar())

@@ -263,7 +263,7 @@ def test_sums_and_integer_multiples(case, m):
 @st.composite
 def foreign_pairs(draw):
     pool = draw(st.sampled_from([RING_CONTEXTS, CHERN_CONTEXTS, PB_CONTEXTS]))
-    first, second = draw(st.permutations(pool))[:2]  # PBCtx is unhashable
+    first, second = draw(st.permutations(pool))[:2]  # two distinct contexts
     return first.one(), draw(st.sampled_from([second.zero(), second.one()]))
 
 
@@ -334,8 +334,8 @@ def _small_bundles():
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(WHITNEY_RINGS), _small_bundles(), _small_bundles())
 def test_whitney_formula_on_random_bundles(ring, e, f):
-    assume(bundles.bundle_rank(e, ring.universal_rank) <= 12)
-    assume(bundles.bundle_rank(f, ring.universal_rank) <= 12)
+    assume(bundles.bundle_rank(e, ring.k) <= 12)
+    assume(bundles.bundle_rank(f, ring.k) <= 12)
     c = bundles.total_chern
     assert c(bundles.direct_sum(e, f), ring) == _convolve(c(e, ring), c(f, ring), ring)
     assert c(bundles.dual(bundles.direct_sum(e, f)), ring) == _convolve(
