@@ -58,7 +58,7 @@ from .partitions import (
     lr_multiply,
     pieri_e,
 )
-from .projbundle import PBClass, PBCtx, pushforward, pushforward_product
+from .projbundle import PBClass, PBCtx, pushforward
 
 __version__ = "0.1.0"
 
@@ -94,7 +94,6 @@ __all__ = [
     "lr_multiply",
     "pieri_e",
     "pushforward",
-    "pushforward_product",
     "rank_cap",
     "schubert_string",
     "schur_expand",

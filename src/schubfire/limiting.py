@@ -18,8 +18,8 @@ part has a class of its own, computed here two ways:
 * ``sigma_pb`` writes the top Chern classes of the two quotient bundles
   cutting out the locus on the projective bundle P(Sym^l U*) as
   polynomials in zeta = c1(O(1)) over the Grassmannian, integrates their
-  product over the fibers, forming only the zeta^(e-1) coefficient that
-  the integral reads, and multiplies by the top Chern class of Sym^k U*.
+  product over the fibers by the projection formula against fiber
+  integrals memoized per bundle, and multiplies by c_top(Sym^k U*).
 
 The direct route is the default (no projective bundle to build, so it is
 faster); the bundle route is kept as a cross-check.  The two must agree
@@ -39,7 +39,7 @@ from math import comb
 from . import bundles
 from .chow import ChowClass, GrassCtx, integral
 from .errors import RouteMismatchError
-from .projbundle import PBClass, PBCtx, pushforward_product
+from .projbundle import PBClass, PBCtx, pushforward
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -161,14 +161,17 @@ def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:
         b = c_(e-1)(E - O(-1)) = sum over i of c_i(E) zeta^(e-1-i).
 
     The binomial comes from s(F (x) O(-1)), whose degree-q part is
-    sum_j C(r_k-1+q, q-j) s_j(F) zeta^(q-j).  a is reduced once by the
-    zeta relation, b needs no reduction, and the class is
-
-        c_(r_k)(Sym^k U*) * pushforward(a * b),
-
-    where ``pushforward_product`` forms only the coefficient of zeta^(e-1)
-    of a * b.  This route uses only the zeta relation and never s(E), so it
-    does not share ``sigma_direct``'s collapse through c(E) s(E) = 1.
+    sum_j C(r_k-1+q, q-j) s_j(F) zeta^(q-j).  The class is
+    c_(r_k)(Sym^k U*) * pushforward(a * b), and by the projection formula
+    pushforward(a * b) = sum over p < e of a_p w_p, where the a_p are the
+    coefficients of a reduced by the zeta relation and w_p is
+    pushforward(zeta^p * b), which depends on P(E) only and is memoized
+    per ``PBCtx`` (``_fiber_integrals``).  a_p is A_p plus what the
+    relation carries down from the A_q with q >= e, so A_p is formed only
+    for p >= e or w_p != 0.  w is (1, 0, ..., 0), c(E) s(E) = 1 seen
+    through the relation, but it is read, not assumed: this route uses
+    only the zeta relation and never s(E), so it does not share
+    ``sigma_direct``'s collapse.
     """
     ProblemParams(r, n, d, k)
     bundles.sym_rank(r + 1, d)
@@ -182,20 +185,32 @@ def _sigma_pb_cached(r: int, n: int, d: int, k: int) -> ChowClass:
     if r_d > ctx.dim or r_k > ctx.dim:
         return ctx.zero()
     R = r_d - r_k
+    pb = PBCtx(ctx, _sym_ustar(d - k))
+    w = _fiber_integrals(pb)
     cd = bundles.total_chern(_sym_ustar(d), ctx)
     sk = bundles.segre(_sym_ustar(k), ctx, max_degree=R)
     coeffs = [ctx.zero() for _ in range(R + 1)]
-    for i in range(R + 1):
-        if not cd[i]:
-            continue
-        for j in range(R - i + 1):  # the binomial is positive for p <= R - i
-            p = R - i - j
-            if sk[j]:
-                coeffs[p] = coeffs[p] + comb(r_d - 1 - i, p) * (cd[i] * sk[j])
-    pb = PBCtx(ctx, _sym_ustar(d - k))
-    a = PBClass(pb, coeffs)
-    b = PBClass(pb, pb.chern_e[r_l - 1 :: -1])
-    return bundles.total_chern(_sym_ustar(k), ctx)[r_k] * pushforward_product(a, b)
+    for p in range(R + 1):
+        if p >= r_l or w[p]:  # a_p below e is read only through w_p
+            for i in range(R - p + 1):  # the binomial is positive for p <= R - i
+                if cd[i] and sk[R - p - i]:
+                    coeffs[p] = coeffs[p] + comb(r_d - 1 - i, p) * (cd[i] * sk[R - p - i])
+    a = PBClass(pb, coeffs).terms
+    fiber = sum((a[p] * w[p] for p in a if w[p]), ctx.zero())
+    return bundles.total_chern(_sym_ustar(k), ctx)[r_k] * fiber
+
+
+@lru_cache(maxsize=None)
+def _fiber_integrals(pb: PBCtx) -> tuple[ChowClass, ...]:
+    """w_p = pushforward(zeta^p * b) for p < e, b = c_(e-1)(E - O(-1)), each
+    zeta^p * b the one before shifted up a power and reduced by ``PBClass``."""
+    zero, e = pb.base.zero(), pb.rank
+    x = PBClass(pb, pb.chern_e[e - 1 :: -1])  # b, already reduced
+    w = [pushforward(x)]
+    for _ in range(1, e):
+        x = PBClass(pb, [zero] + [x.terms.get(j, zero) for j in range(e)])  # x * zeta
+        w.append(pushforward(x))
+    return tuple(w)
 
 
 @dataclass

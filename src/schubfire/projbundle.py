@@ -67,40 +67,24 @@ class PBCtx:
         return PBClass._from_clean(self, {0: alpha} if alpha else {})
 
 
-def _reduce(ctx: PBCtx, terms: dict, low: int = 0) -> dict:
+def _reduce(ctx: PBCtx, terms: dict) -> dict:
     """Rewrite the powers zeta^p, p >= e, of ``terms`` {p: base class} by
     the zeta relation, from the top down.
 
     ``terms`` is consumed and may hold zero coefficients; the result holds
-    only the nonzero ones, all below e.  The relation only lowers powers,
-    so what it would push below ``low`` can never come back up: it is left
-    out, and the result is exact in every power from ``low`` upward.
+    only the nonzero ones, all below e.
     """
     e = ctx.rank
     for p in range(max(terms, default=0), e - 1, -1):
         c = terms.pop(p, None)
         if not c:
             continue
-        for i in range(1, min(e, p - low) + 1):
+        for i in range(1, e + 1):
             ci = ctx.chern_e[i]
             if ci:
                 t = ci * c
                 terms[p - i] = terms[p - i] - t if p - i in terms else -t
     return {p: c for p, c in terms.items() if c}
-
-
-def _multiply(ctx: PBCtx, x: dict, y: dict, low: int = 0) -> dict:
-    """The reduced product of two term dicts, exact from zeta^low upward.
-
-    Raw powers below ``low`` are never formed, and ``_reduce`` pushes
-    nothing below it.  Only ``+`` and ``*`` of the coefficients are used.
-    """
-    raw: dict = {}
-    for i, a in x.items():
-        for j, b in y.items():
-            if i + j >= low:
-                raw[i + j] = raw[i + j] + a * b if i + j in raw else a * b
-    return _reduce(ctx, raw, low)
 
 
 class PBClass(_Combination):
@@ -119,7 +103,11 @@ class PBClass(_Combination):
         self.terms = _reduce(ctx, dict(enumerate(coeffs)))
 
     def _product(self, other_terms: dict) -> dict:
-        return _multiply(self.ctx, self.terms, other_terms)
+        raw: dict = {}  # never 0 + a * b: the coefficients are base classes
+        for i, a in self.terms.items():
+            for j, b in other_terms.items():
+                raw[i + j] = raw[i + j] + a * b if i + j in raw else a * b
+        return _reduce(self.ctx, raw)
 
     def __mul__(self, other) -> "PBClass":
         if isinstance(other, ChowClass):
@@ -143,15 +131,7 @@ def pushforward(a: PBClass) -> ChowClass:
     sum_j alpha_j s_(j - e + 1)(E).  In canonical form j <= e-1, so only
     j = e-1 contributes, through s_0 = 1; the higher Segre classes have
     already entered through the zeta relation that put the class there.
-    ``pushforward_product`` gives pushforward(a * b) without forming the
-    rest of the product.
+    It is linear over the base (the projection formula): pushforward(a * b)
+    is sum_j a_j pushforward(zeta^j * b) over the coefficients a_j of a.
     """
     return a.terms.get(a.ctx.rank - 1, a.ctx.base.zero())
-
-
-def pushforward_product(a: PBClass, b: PBClass) -> ChowClass:
-    """pushforward(a * b), forming only the zeta^(e-1) coefficient it reads:
-    the product is formed and reduced from zeta^(e-1) upward only."""
-    a._check(b)
-    e = a.ctx.rank
-    return _multiply(a.ctx, a.terms, b.terms, e - 1).get(e - 1, a.ctx.base.zero())

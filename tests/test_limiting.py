@@ -296,28 +296,34 @@ def test_sigma_direct_product_count(clear_caches, monkeypatch, r, n, d, k, bound
 
 
 @pytest.mark.parametrize(
-    "r,n,d,k,integrals,bound,pair_bound",
-    [(3, 8, 3, 1, 2, 400, 6500), (2, 12, 6, 3, 1, 450, 15000)],
+    "r,n,d,k,bundles_built,bound,pair_bound",
+    [(3, 8, 3, 1, 2, 250, 2500), (2, 12, 6, 3, 1, 250, 6000)],
 )
 def test_sigma_pb_product_count(
-    clear_caches, monkeypatch, r, n, d, k, integrals, bound, pair_bound
+    clear_caches, monkeypatch, r, n, d, k, bundles_built, bound, pair_bound
 ):
-    # One fiber integral per distinct problem (at k = l the second call is a
-    # memo hit) and no product on the projective bundle.  Forming all of
-    # a * b before integrating took 471 and 942 Chow products of 9842 and
-    # 48488 term pairs here.
+    # The fiber integrals are built once per bundle Sym^l U* (at k = l the
+    # second problem is a memo hit), and no product on the projective
+    # bundle is formed outside that build.  Forming all of a * b before
+    # integrating took 471 and 942 Chow products of 9842 and 48488 term
+    # pairs here; forming only its zeta^(e-1) coefficient took 369 and 381
+    # products of 5946 and 14425 pairs.
     total_class(r, n, d)
     sigma_direct(r, n, d, k)
     sigma_direct(r, n, d, d - k)
-    fused, pb_mul, product = limiting.pushforward_product, PBClass.__mul__, ChowClass._product
-    integral_calls, pb_calls, calls, pairs = [], [], [], []
+    fiber, pb_mul, product = limiting._fiber_integrals, PBClass.__mul__, ChowClass._product
+    building, pb_calls, calls, pairs = [], [], [], []
 
-    def counted_integral(a, b):
-        integral_calls.append(None)
-        return fused(a, b)
+    def traced_fiber(pb):
+        building.append(None)
+        try:
+            return fiber(pb)
+        finally:
+            building.pop()
 
     def counted_pb(self, other):
-        pb_calls.append(None)
+        if not building:
+            pb_calls.append(None)
         return pb_mul(self, other)
 
     def counted(self, other_terms):
@@ -325,12 +331,12 @@ def test_sigma_pb_product_count(
         pairs.append(len(self.terms) * len(other_terms))
         return product(self, other_terms)
 
-    monkeypatch.setattr(limiting, "pushforward_product", counted_integral)
+    monkeypatch.setattr(limiting, "_fiber_integrals", traced_fiber)
     monkeypatch.setattr(PBClass, "__mul__", counted_pb)
     monkeypatch.setattr(ChowClass, "_product", counted)
     sigma_pb(r, n, d, k)
     sigma_pb(r, n, d, d - k)
-    assert len(integral_calls) == integrals
+    assert fiber.cache_info().misses == bundles_built
     assert not pb_calls
     assert 0 < len(calls) <= bound
     assert sum(pairs) <= pair_bound
@@ -362,5 +368,9 @@ def test_sigma_pb_is_evaluated_once_per_problem(clear_caches):
     split(3, 8, 3, 2, "both")
     info = limiting._sigma_pb_cached.cache_info()
     assert (info.misses, info.hits, info.currsize) == (2, 2, 2)
+    # one set of fiber integrals per bundle: Sym^2 U* and Sym^1 U*
+    info = limiting._fiber_integrals.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (2, 0, 2)
     clear_caches()
     assert limiting._sigma_pb_cached.cache_info().currsize == 0
+    assert limiting._fiber_integrals.cache_info().currsize == 0

@@ -5,7 +5,7 @@ import pytest
 from schubfire.bundles import ChernCtx, direct_sum, dual, segre, sym, total_chern, ustar
 from schubfire.chow import GrassCtx
 from schubfire.errors import ContextMismatchError
-from schubfire.projbundle import PBClass, PBCtx, pushforward, pushforward_product
+from schubfire.projbundle import PBClass, PBCtx, pushforward
 
 
 def _zeta_power(pb, p):
@@ -175,11 +175,11 @@ def test_ring_contexts_are_values():
     y, y_one = two.zeta() * two.zeta(), one.zeta() * one.zeta()
     assert x + y == x + y_one
     assert x * y == x * y_one
-    assert pushforward_product(x, y) == pushforward(x * y_one)
+    assert pushforward(x * y) == pushforward(x * y_one)
     # another bundle over the same base is another ring
     for bundle in (dual(sym(2, ustar())), direct_sum(ustar(), ustar(), ustar())):
         other = PBCtx(g, bundle).zeta()
-        for op in (lambda: x + other, lambda: x * other, lambda: pushforward_product(x, other)):
+        for op in (lambda: x + other, lambda: x * other, lambda: pushforward(x * other)):
             with pytest.raises(ContextMismatchError):
                 op()
     # equal by structure, not by Chern classes: sym(1, U*) has those of U*

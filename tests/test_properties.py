@@ -1,6 +1,6 @@
 """Randomised invariants: the straightening, schur_expand, the ring axioms of
 Chow classes, Chern polynomials and projective-bundle classes, the
-projection formula, the fused fiber integral of a product, the evaluation
+projection formula and the fiber integrals it reads, the evaluation
 of e-polynomials in a ring, c(E) s(E) = 1 and the Whitney formula, the
 collapsed split formula against the paper's triple sum, and the `class`
 command on random input."""
@@ -17,9 +17,9 @@ from schubfire.bundles import ChernCtx, ChernPoly, _MonomialEvaluator
 from schubfire.chow import ChowClass, GrassCtx, schur_expand
 from schubfire.cli import main
 from schubfire.errors import ContextMismatchError
-from schubfire.limiting import sigma_direct, sigma_pb
+from schubfire.limiting import _fiber_integrals, sigma_direct, sigma_pb
 from schubfire.partitions import Box, iter_box_partitions, schur_to_elementary
-from schubfire.projbundle import PBClass, PBCtx, pushforward, pushforward_product
+from schubfire.projbundle import PBClass, PBCtx, pushforward
 from schubfire.sympoly import schur_coefficients
 
 from _oracles import (
@@ -230,19 +230,40 @@ def test_pb_products_are_a_ring_and_satisfy_the_projection_formula(case, lam):
     assert pushforward(ctx.pullback(alpha) * x) == alpha * pushforward(x)
 
 
+def _zeta_powers_times(ctx, b):
+    """zeta^p * b for p < e, each by a full product on the bundle."""
+    out = [b]
+    for _ in range(1, ctx.rank):
+        out.append(out[-1] * ctx.zeta())
+    return out
+
+
 @settings(max_examples=40, deadline=None)
-@given(
-    pb_classes(),
-    st.sampled_from(list(iter_box_partitions(Box(3, 2)))),
-    st.integers(0, 13),
-)
-def test_fused_fiber_integral_is_the_pushforward_of_the_product(case, lam, p):
-    ctx, (x, y, _) = case
+@given(pb_classes(), st.sampled_from(list(iter_box_partitions(Box(3, 2)))))
+def test_pushforward_of_a_product_by_the_projection_formula(case, lam):
+    ctx, (a, y, _) = case
     alpha = ctx.base.sigma(lam) - ctx.base.one()
-    pulled = ctx.pullback(alpha)
-    power = PBClass(ctx, [ctx.base.zero()] * p + [alpha])  # alpha zeta^p, p up to 2e+1
-    for a, b in ((x, y), (x, pulled), (pulled, y), (x, power), (power, power)):
-        assert pushforward_product(a, b) == pushforward(a * b)
+    b = PBClass(ctx, ctx.chern_e[ctx.rank - 1 :: -1])  # c_(e-1)(E - O(-1))
+    powers = [PBClass(ctx, [ctx.base.zero()] * p + [alpha]) for p in range(2 * ctx.rank + 2)]
+
+    def paired(f, w):  # sum over p of f_p w_p, f_p the reduced coefficients of f
+        return sum((c * w[p] for p, c in f.terms.items()), ctx.base.zero())
+
+    for x in (y, ctx.pullback(alpha), powers[-1]):
+        w = [pushforward(t) for t in _zeta_powers_times(ctx, x)]
+        for f in (a, *powers):
+            assert pushforward(f * x) == paired(f, w)
+    assert pushforward(a * b) == paired(a, _fiber_integrals(ctx))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 5), st.integers(1, 3))
+def test_fiber_integrals_by_the_zeta_relation(r, extra, l):
+    ctx = PBCtx(GrassCtx(r, r + extra), bundles.sym(l, bundles.ustar()))
+    b = PBClass(ctx, ctx.chern_e[ctx.rank - 1 :: -1])
+    w = _fiber_integrals(ctx)
+    assert w == tuple(pushforward(x) for x in _zeta_powers_times(ctx, b))
+    assert w == (ctx.base.one(),) + (ctx.base.zero(),) * (ctx.rank - 1)
 
 
 @settings(max_examples=40, deadline=None)
@@ -273,7 +294,7 @@ def test_combining_different_contexts_is_refused(pair):
     a, b = pair
     ops = [lambda: a + b, lambda: a - b, lambda: a * b]
     if isinstance(a, PBClass):
-        ops.append(lambda: pushforward_product(a, b))
+        ops.append(lambda: pushforward(a * b))
     for op in ops:
         with pytest.raises(ContextMismatchError):
             op()
