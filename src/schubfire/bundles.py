@@ -5,13 +5,15 @@ CLI grammar build: the dual universal subbundle, symmetric powers, duals
 and nonempty direct sums.  Total Chern classes follow the splitting
 principle; symmetric powers go through a universal table, computed once
 per (power, rank, degree cap) by multiplying out the Chern roots of the
-power in place, on x-monomials packed into integers, reading off the
+power in place, on x-monomials packed into integers, and reading off the
 Schur coefficients of the elementary symmetric functions of those roots
-(``sympoly``), and rewriting them in the elementary generators of the base
-roots by the Pieri inversion that the product kernel also uses
-(``partitions.schur_to_elementary``).  A table is evaluated in a ring one
-monomial at a time, each as a memoized shorter monomial times one
-generator.
+(``sympoly``).  The table stays in the Schur basis of the base roots.  A
+power of U* is read straight into the ring by ``schur_class``: on a
+Grassmannian s_lam of the roots of U* is sigma_lam, so no product is
+made.  A power of any other bundle is rewritten in the elementary
+generators by the Pieri inversion that the product kernel also uses
+(``partitions.schur_to_elementary``) and evaluated one monomial at a time,
+each as a memoized shorter monomial times one generator.
 
 The Chern and Segre series of every expression are computed once per
 ring, memoized by the expression's structure and the ring, and shared by
@@ -20,8 +22,9 @@ draw on the same classes.  The Segre series is only ever inverted up to
 the highest degree asked for so far.
 
 A ring context provides ``k`` (the rank of the universal subbundle),
-``top_degree``, ``one()``, ``zero()`` and ``universal_dual_chern()`` (c_0
-up to c_top of its dual, zero above k).  The two rings are the Schubert
+``top_degree``, ``one()``, ``zero()``, ``universal_dual_chern()`` (c_0
+up to c_top of its dual, zero above k) and ``schur_class(schur)`` (a Schur
+expansion in the roots of that dual).  The two rings are the Schubert
 basis of a Grassmannian (GrassCtx) and the free presentation in c1..ck
 (ChernCtx below), used for printing and for regressions against known
 expansions.
@@ -154,13 +157,15 @@ def bundle_rank(expr: BundleExpr, k: int) -> int:
 def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]:
     """Universal Chern classes of the d-th symmetric power of a rank-k bundle.
 
-    Entry i is c_i(Sym^d E) as an integer polynomial in c1..ck(E), encoded
-    as {exponent tuple: coefficient}.  Computed by enumerating the
-    comb(k+d-1, d) Chern roots (sums of d base roots with repetition),
-    expanding the product of (1 + root t) in place on x-monomials packed
-    into integers, reading off the Schur coefficients of each t-degree by
-    the bialternant formula and straightening them into the elementary
-    generators by the Pieri rule.
+    Entry i is c_i(Sym^d E) as a Schur expansion in the Chern roots of E,
+    {partition: coefficient} over shapes of weight i and at most k rows.
+    This changes the library contract: entries used to be polynomials in
+    c1..ck(E), {exponent tuple: coefficient}, and callers that want that
+    form convert an entry with ``partitions.schur_to_elementary(entry, k)``.
+    Computed by enumerating the comb(k+d-1, d) Chern roots (sums of d base
+    roots with repetition), expanding the product of (1 + root t) in place
+    on x-monomials packed into integers, and reading off the Schur
+    coefficients of each t-degree by the bialternant formula.
     Tables are memoized per (d, k, cap), where cap is the requested degree
     clipped to the rank of the power; a power above the rank cap is refused
     by ``sym_rank`` before any table is built.
@@ -194,10 +199,7 @@ def _sym_table(d: int, k: int, cap: int) -> tuple[dict, ...]:
                     for key, c in lower:
                         key += step
                         target[key] = get(key, 0) + c * m
-    return tuple(
-        schur_to_elementary(sympoly.schur_coefficients(_unpack(p, base, k), k), k)
-        for p in series
-    )
+    return tuple(sympoly.schur_coefficients(_unpack(p, base, k), k) for p in series)
 
 
 def _unpack(packed: dict[int, int], base: int, k: int) -> sympoly.XPoly:
@@ -237,6 +239,11 @@ class ChernCtx:
             exps = tuple(int(j == i - 1) for j in range(self.k))
             out.append(ChernPoly._from_clean(self, {exps: 1}) if i <= self.k else self.zero())
         return out
+
+    def schur_class(self, schur: dict) -> "ChernPoly":
+        """A Schur expansion in the roots of the dual, straightened into
+        c1..ck; its shapes must have weight at most ``top_degree``."""
+        return ChernPoly._from_clean(self, schur_to_elementary(schur, self.k))
 
 
 def _weighted_degree(exps: tuple[int, ...]) -> int:
@@ -399,9 +406,14 @@ def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
         inner = _series(child, ring)[0]
         k_child = bundle_rank(child, ring.k)
         table = sym_chern(expr.power, k_child, max_degree=cap)
-        gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
-        ev = _MonomialEvaluator(gens, ring)
-        chern = [ev.poly(entry) for entry in table]
+        # The ring knows s_lam in the roots of U* alone; of any other child
+        # it knows only the Chern classes, so the table goes through c1..ck.
+        if child.kind == USTAR:
+            chern = [ring.schur_class(entry) for entry in table]
+        else:
+            gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
+            ev = _MonomialEvaluator(gens, ring)
+            chern = [ev.poly(schur_to_elementary(entry, k_child)) for entry in table]
         chern += [ring.zero()] * (cap + 1 - len(chern))
     return tuple(chern), [ring.one()]
 

@@ -78,6 +78,19 @@ class GrassCtx:
             return self.zero()
         return ChowClass._from_clean(self, {lam: 1})
 
+    def schur_class(self, schur: Mapping) -> "ChowClass":
+        """Image of a Schur expansion in the Chern roots of the dual
+        universal subbundle: s_lam is sigma_lam, zero if it leaves the box.
+
+        The shapes must have at most k rows and weight at most ``dim``, as
+        the entries of ``bundles.sym_chern(d, k, dim)`` do, so only the
+        column bound is checked.
+        """
+        cols = self.n - self.r
+        return ChowClass._from_clean(
+            self, {lam: c for lam, c in schur.items() if c and (not lam or lam[0] <= cols)}
+        )
+
     def point_class(self) -> "ChowClass":
         return self.sigma((self.box.cols,) * self.box.rows)
 

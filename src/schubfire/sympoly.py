@@ -15,8 +15,10 @@ Vandermonde alternant, f * a_delta = sum_lam c_lam a_(lam+delta), so
 
     c_lam = sum over sigma in S_k of sgn(sigma) f[lam + delta - sigma(delta)].
 
-Elementary coordinates follow from the Schur expansion by the Pieri
-inversion of the product kernel, ``partitions.schur_to_elementary``.
+The symmetric-power tables of ``bundles`` stay in this Schur basis.
+Elementary coordinates, where a caller needs them, follow from the Schur
+expansion by the Pieri inversion of the product kernel,
+``partitions.schur_to_elementary``.
 """
 
 from __future__ import annotations

@@ -8,10 +8,14 @@ is the main correctness evidence for the combinatorial core.  The small
 x-polynomial builders (elementary, complete and monomial symmetric
 polynomials, products and integer multiples) also make the tests' inputs.
 
-The one exception, ``sigma_triple_sum``, evaluates the paper's split
-formula term by term on the package's own series, so agreement with
-``limiting.sigma_direct`` and ``limiting.sigma_pb`` checks how those
-functions rearrange the sum, not the series themselves.
+Two exceptions build on the package.  ``sigma_triple_sum`` evaluates the
+paper's split formula term by term on the package's own series, so
+agreement with ``limiting.sigma_direct`` and ``limiting.sigma_pb`` checks
+how those functions rearrange the sum, not the series themselves.
+``sym_ustar_chern_by_products`` evaluates the package's symmetric-power
+table in the elementary generators by Chow products, so agreement with
+``bundles.total_chern`` checks the read-off of the table into the ring,
+not the table itself.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -19,6 +23,7 @@ from math import comb
 
 from schubfire import bundles
 from schubfire.chow import GrassCtx
+from schubfire.partitions import schur_to_elementary
 
 
 def lr_coefficient(lam, mu, nu):
@@ -228,3 +233,27 @@ def sigma_triple_sum(r, n, d, k):
             total = total + cd[i] * inner
     return prefactor * total
 
+
+def e_poly_in_chow(exps_poly, ctx):
+    """A polynomial {(a1..ak): c} in the Chern classes c_i of U*, evaluated
+    on the Grassmannian as Chow products of c_i = sigma_(1^i)."""
+    gens = [ctx.sigma((1,) * i) for i in range(1, ctx.k + 1)]
+    acc = ctx.zero()
+    for exps, c in exps_poly.items():
+        term = ctx.one()
+        for g, a in zip(gens, exps):
+            for _ in range(a):
+                term = term * g
+        acc = acc + c * term
+    return acc
+
+
+def sym_ustar_chern_by_products(r, n, d):
+    """c_0..c_dim of Sym^d U* on G(r, n): each Schur entry of the table is
+    straightened into c1..ck by the Pieri inversion and multiplied out
+    through the product kernel, without reading any Schur shape as a
+    Schubert class."""
+    ctx = GrassCtx(r, n)
+    table = bundles.sym_chern(d, ctx.k, ctx.dim)
+    out = [e_poly_in_chow(schur_to_elementary(entry, ctx.k), ctx) for entry in table]
+    return out + [ctx.zero()] * (ctx.dim + 1 - len(out))

@@ -22,6 +22,7 @@ from schubfire.bundles import (
 )
 from schubfire.chow import GrassCtx, schubert_string
 from schubfire.errors import RankCapExceededError
+from schubfire.partitions import schur_to_elementary
 from schubfire.projbundle import PBCtx
 
 
@@ -64,9 +65,14 @@ def test_library_calls_apply_the_rank_cap(monkeypatch, call):
     assert time.perf_counter() - started < 1.0
 
 
+def _elementary_table(d, k, max_degree=None):
+    """sym_chern's Schur entries in the e-monomial form {(a1..ak): c}."""
+    return tuple(schur_to_elementary(entry, k) for entry in sym_chern(d, k, max_degree))
+
+
 def test_sym_table_degree_one_is_identity():
     for k in (1, 2, 3, 4):
-        table = sym_chern(1, k)
+        table = _elementary_table(1, k)
         assert table[0] == {(0,) * k: 1}
         for i in range(1, k + 1):
             exps = [0] * k
@@ -76,7 +82,7 @@ def test_sym_table_degree_one_is_identity():
 
 def test_sym_table_rank3_square():
     # published hand-checked values for the symmetric square at rank 3
-    table = sym_chern(2, 3)
+    table = _elementary_table(2, 3)
     assert table[1] == {(1, 0, 0): 4}
     assert table[2] == {(2, 0, 0): 5, (0, 1, 0): 5}
     assert table[3] == {(3, 0, 0): 2, (1, 1, 0): 11, (0, 0, 1): 7}
@@ -87,7 +93,7 @@ def test_sym_table_first_chern_rule():
     # c1(Sym^d E) = (d/k) rank(Sym^d E) c1(E)
     for k in range(1, 5):
         for d in range(1, 4):
-            table = sym_chern(d, k, max_degree=1)
+            table = _elementary_table(d, k, max_degree=1)
             expected = d * comb(k + d - 1, d) // k
             key = (1,) + (0,) * (k - 1)
             assert table[1] == {key: expected}, (k, d)
@@ -105,11 +111,11 @@ def _table_digest(table):
     return hashlib.sha256(repr([sorted(entry.items()) for entry in table]).encode()).hexdigest()
 
 
-# sha256 of each table as built by the tuple-keyed root product before the
-# packed one replaced it.  (3,2,3), (3,4,10), (3,4,16) and (6,3,21) ask for
-# fewer degrees than the rank, (2,5,20) for more; in (1,1,1), (2,2,2) and
-# (3,2,3) an exponent of the top degree equals the cap, the largest digit of
-# the packing base.
+# sha256 of each table, in the e-monomial form, as built by the tuple-keyed
+# root product before the packed one replaced it.  (3,2,3), (3,4,10),
+# (3,4,16) and (6,3,21) ask for fewer degrees than the rank, (2,5,20) for
+# more; in (1,1,1), (2,2,2) and (3,2,3) an exponent of the top degree equals
+# the cap, the largest digit of the packing base.
 PINNED_TABLES = {
     (1, 1, 1): "4670c749a212a57d7e0262b56b5862f052f503dc9560559582a01ff174c433d0",
     (1, 4, 4): "b40dd03a9034ef4982683c05cbdf1c2f648179ce3c77d0407d1e7efffad45f5f",
@@ -127,7 +133,7 @@ PINNED_TABLES = {
 
 @pytest.mark.parametrize("d,k,cap", sorted(PINNED_TABLES))
 def test_sym_table_is_pinned(d, k, cap):
-    assert _table_digest(sym_chern(d, k, cap)) == PINNED_TABLES[d, k, cap]
+    assert _table_digest(_elementary_table(d, k, cap)) == PINNED_TABLES[d, k, cap]
 
 
 def test_total_chern_universal_dual():
@@ -209,9 +215,10 @@ def test_sym_chern_agrees_with_root_polynomial_straightening():
     # Second route: expand the product of (1 + root t) over the Chern roots
     # of the symmetric power as a symmetric polynomial and read its Schur
     # coefficients straight into the box with schur_expand; must match the
-    # table route (Schur coefficients, Pieri straightening into c1..ck,
-    # evaluation by Chow products) class by class.  Both share the
-    # bialternant read-off, which test_chow checks against Jacobi-Trudi.
+    # table route (the table's Schur coefficients of the packed root
+    # product, read into the box by GrassCtx.schur_class) class by class.
+    # Both share the bialternant read-off, which test_chow checks against
+    # Jacobi-Trudi.
     # The root product here keys monomials by exponent tuples, independently
     # of the packed integers of the table.
     from itertools import combinations_with_replacement

@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from schubfire import bundles, limiting, rank_cap
+from schubfire import bundles, limiting, partitions, rank_cap
 from schubfire.bundles import segre, sym, total_chern, ustar
 from schubfire.chow import ChowClass, GrassCtx, integral, schubert_string
 from schubfire.errors import RankCapExceededError
@@ -50,6 +50,17 @@ def test_total_class_values():
         assert total_class(2, n, 2) == 8 * z * (x * y - z)
     assert integral(total_class(2, 7, 4)) == 3297280
     assert total_class(2, 4, 2) == GrassCtx(2, 4).zero()
+
+
+@pytest.mark.parametrize(
+    "r,n,d,count", [(1, 3, 3, 27), (3, 8, 3, 321489), (2, 9, 5, 420760566875)]
+)
+def test_total_class_makes_no_chow_product(clear_caches, r, n, d, count):
+    # c_top(Sym^d U*) is read off the table's Schur coefficients, each
+    # s_lam of the roots of U* being sigma_lam: the LR kernel is never asked.
+    assert integral(total_class(r, n, d)) == count
+    info = partitions._lr.cache_info()
+    assert (info.hits, info.misses) == (0, 0)
 
 
 def test_generic_emptiness():

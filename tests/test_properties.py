@@ -1,7 +1,8 @@
 """Randomised invariants: the straightening, schur_expand, the ring axioms of
 Chow classes, Chern polynomials and projective-bundle classes, the
 projection formula and the fiber integrals it reads, the evaluation
-of e-polynomials in a ring, c(E) s(E) = 1 and the Whitney formula, the
+of e-polynomials in a ring, the read-off of Sym^d U* against Chow
+products, c(E) s(E) = 1 and the Whitney formula, the
 collapsed split formula against the paper's triple sum, and the `class`
 command on random input."""
 
@@ -23,12 +24,14 @@ from schubfire.projbundle import PBClass, PBCtx, pushforward
 from schubfire.sympoly import schur_coefficients
 
 from _oracles import (
+    e_poly_in_chow,
     elementary_x,
     monomial_sym_x,
     poly_add,
     poly_mul,
     poly_scale,
     sigma_triple_sum,
+    sym_ustar_chern_by_products,
 )
 
 COEFFS = st.integers(-5, 5).filter(bool)
@@ -335,6 +338,20 @@ def test_chern_times_segre_of_sym_ustar_is_one(ring, m):
     e = bundles.sym(m, bundles.ustar())
     one = [ring.one()] + [ring.zero()] * ring.top_degree
     assert _convolve(bundles.total_chern(e, ring), bundles.segre(e, ring), ring) == one
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2), st.integers(1, 4), st.integers(1, 4))
+def test_sym_ustar_read_off_matches_chow_products(r, extra, d):
+    # The Schur entries of the table are read into the box as Schubert
+    # classes; the oracle multiplies out their e-form instead, and the free
+    # presentation in c1..ck maps onto the same classes by c_i -> sigma_(1^i).
+    g = GrassCtx(r, r + extra)
+    e = bundles.sym(d, bundles.ustar())
+    read_off = bundles.total_chern(e, g)
+    assert read_off == sym_ustar_chern_by_products(r, r + extra, d)
+    free = bundles.total_chern(e, ChernCtx(g.k, g.dim))
+    assert [e_poly_in_chow(p.terms, g) for p in free] == read_off
 
 
 WHITNEY_RINGS = [GrassCtx(1, 4), GrassCtx(2, 5), ChernCtx(2, 5), ChernCtx(3, 6)]
