@@ -23,11 +23,15 @@ the highest degree asked for so far.
 
 A ring context provides ``k`` (the rank of the universal subbundle),
 ``top_degree``, ``one()``, ``zero()``, ``universal_dual_chern()`` (c_0
-up to c_top of its dual, zero above k) and ``schur_class(schur)`` (a Schur
+up to c_min(k, top) of its dual) and ``schur_class(schur)`` (a Schur
 expansion in the roots of that dual).  The two rings are the Schubert
 basis of a Grassmannian (GrassCtx) and the free presentation in c1..ck
 (ChernCtx below), used for printing and for regressions against known
 expansions.
+
+Every Chern series stops at c_min(rank, top): the classes above the rank
+vanish and are never built, so the work grows with the rank, not with the
+dimension of the ring.
 
 The Segre series is the formal inverse of the Chern series, c(E).s(E) = 1,
 so s1(E) = -c1(E); every downstream formula assumes exactly this
@@ -233,11 +237,11 @@ class ChernCtx:
         return ChernPoly._from_clean(self, {(0,) * self.k: 1})
 
     def universal_dual_chern(self) -> list["ChernPoly"]:
-        """c_0..c_top: the unit, then the generators c_i, zero above k."""
+        """c_0..c_min(k, top): the unit, then the generators c_i."""
         out = [self.one()]
-        for i in range(1, self.top_degree + 1):
-            exps = tuple(int(j == i - 1) for j in range(self.k))
-            out.append(ChernPoly._from_clean(self, {exps: 1}) if i <= self.k else self.zero())
+        for i in range(min(self.k, self.top_degree)):
+            exps = tuple(int(j == i) for j in range(self.k))
+            out.append(ChernPoly._from_clean(self, {exps: 1}))
         return out
 
     def schur_class(self, schur: dict) -> "ChernPoly":
@@ -350,8 +354,9 @@ class _MonomialEvaluator:
 
 
 def _series_mul(a: list, b: list, ring) -> list:
-    """Product of two series, up to the ring's top degree."""
-    cap = ring.top_degree
+    """Product of two series, up to the sum of their degrees or the ring's
+    top degree, whichever is lower."""
+    cap = min(len(a) + len(b) - 2, ring.top_degree)
     out = [ring.zero() for _ in range(cap + 1)]
     for i, ai in enumerate(a):
         if not ai:
@@ -390,7 +395,6 @@ def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
     The Segre list is extended in place by ``segre`` as callers ask for
     higher degrees; neither is handed out itself, only copies of them.
     """
-    cap = ring.top_degree
     kind = expr.kind
     if kind == USTAR:
         chern = ring.universal_dual_chern()
@@ -398,14 +402,14 @@ def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
         inner = _series(expr.children[0], ring)[0]
         chern = [c if i % 2 == 0 else -c for i, c in enumerate(inner)]
     elif kind == SUM:
-        chern = [ring.one()] + [ring.zero() for _ in range(cap)]
+        chern = [ring.one()]
         for child in expr.children:
             chern = _series_mul(chern, _series(child, ring)[0], ring)
     else:  # SYM; bundle_rank has refused every other kind
         child = expr.children[0]
         inner = _series(child, ring)[0]
         k_child = bundle_rank(child, ring.k)
-        table = sym_chern(expr.power, k_child, max_degree=cap)
+        table = sym_chern(expr.power, k_child, max_degree=ring.top_degree)
         # The ring knows s_lam in the roots of U* alone; of any other child
         # it knows only the Chern classes, so the table goes through c1..ck.
         if child.kind == USTAR:
@@ -414,17 +418,17 @@ def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
             gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
             ev = _MonomialEvaluator(gens, ring)
             chern = [ev.poly(schur_to_elementary(entry, k_child)) for entry in table]
-        chern += [ring.zero()] * (cap + 1 - len(chern))
     return tuple(chern), [ring.one()]
 
 
 def total_chern(expr: BundleExpr, ring) -> list:
-    """Total Chern class as a list of ring elements, degrees 0..top_degree."""
+    """Total Chern class as a list of ring elements, c_0..c_min(rank, top);
+    the classes above the rank are absent and read as zero."""
     return list(_checked_series(expr, ring)[0])
 
 
 def segre(expr: BundleExpr, ring, max_degree: int | None = None) -> list:
     """Segre classes s_0..s_cap, the inverse series of the total Chern class."""
-    cap = ring.top_degree if max_degree is None else min(max_degree, ring.top_degree)
     chern, s = _checked_series(expr, ring)
+    cap = ring.top_degree if max_degree is None else min(max_degree, ring.top_degree)
     return _extend_inverse(chern, s, ring, cap)[: cap + 1]

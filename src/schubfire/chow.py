@@ -14,8 +14,8 @@ fast, so fixed-width arithmetic is not an option.
 How a combination is stored, added and scaled (``_Combination``) and
 how it is printed (``render``) is defined here once.
 ``bundles.ChernPoly`` shares both for the Chern-monomial basis, and
-``projbundle.PBClass`` shares the arithmetic, with base classes as the
-coefficients of the powers of zeta.
+``projbundle.PBClass`` shares the sums and integer multiples, with base
+classes as the coefficients of the powers of zeta; it has no product.
 """
 
 from __future__ import annotations
@@ -95,10 +95,8 @@ class GrassCtx:
         return self.sigma((self.box.cols,) * self.box.rows)
 
     def universal_dual_chern(self) -> list["ChowClass"]:
-        """Chern classes of the dual universal subbundle, degrees 0..top."""
-        out = [self.sigma((1,) * i) for i in range(min(self.k, self.dim) + 1)]
-        out.extend(self.zero() for _ in range(self.dim - min(self.k, self.dim)))
-        return out
+        """Chern classes of the dual universal subbundle, c_0..c_min(k, top)."""
+        return [self.sigma((1,) * i) for i in range(min(self.k, self.dim) + 1)]
 
 
 class _Combination:
@@ -110,9 +108,9 @@ class _Combination:
     ``ChernPoly``, a base ``ChowClass`` for ``projbundle.PBClass``.  This
     holds what every basis shares: sums, negation, integer multiples and
     the context check.  A subclass validates its keys in ``__init__`` and
-    supplies the ring product of two term dicts as ``_product`` and
-    ``__repr__``; the two integer bases also give their printing order as
-    ``sorted_terms``.
+    supplies ``__repr__``; the two integer bases also supply the ring
+    product of two term dicts as ``_product`` (without it, ``*`` takes
+    integers only) and their printing order as ``sorted_terms``.
     """
 
     __slots__ = ("ctx", "terms")
@@ -164,7 +162,7 @@ class _Combination:
         if isinstance(other, int):
             terms = {key: other * c for key, c in self.terms.items()} if other else {}
             return self._from_clean(self.ctx, terms)
-        if not isinstance(other, type(self)):
+        if not isinstance(other, type(self)) or not hasattr(self, "_product"):
             return NotImplemented
         self._check(other)
         return self._from_clean(self.ctx, self._product(other.terms))

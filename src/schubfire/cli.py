@@ -246,7 +246,9 @@ def cmd_class(args) -> int:
     if op == "ctop":
         degree = rank
     # The parser builds only honest bundles, whose Chern classes vanish
-    # above the rank, so chern(i, E) never needs a ring above it.
+    # above the rank, so chern(i, E) never needs a ring above it; the
+    # series stops at the rank, so the guard below also keeps the read
+    # inside the list.
     top = degree if op == "segre" else min(degree, rank)
     ring = grass if args.basis == "schubert" else bundles.ChernCtx(k, top)
     if degree > ring.top_degree or (op != "segre" and degree > rank):

@@ -12,6 +12,11 @@ which is c_e(pullback(E) tensor O(1)) = 0.  In this convention the
 pushforward of zeta^(e-1+i) is the i-th Segre class of E, with s_0 = 1
 and c(E).s(E) = 1; the sign conventions here were fixed once against
 known degeneration counts and are exercised end-to-end by the tests.
+
+A class is a zeta-polynomial reduced by the relation: it is added,
+scaled by integers and pushed forward, but never multiplied.  The one
+product the bundle route needs, by zeta, is a shift of the coefficient
+list put back through the constructor.
 """
 
 from __future__ import annotations
@@ -30,8 +35,8 @@ class PBCtx:
     its base and the expression of E, like ``GrassCtx(r, n)``.
 
     It derives the rank of E and c_0..c_e(E) on the base, the coefficients
-    of the zeta relation; nothing else about E is needed to multiply or
-    push forward.
+    of the zeta relation; nothing else about E is needed to reduce or push
+    forward.
     """
 
     base: GrassCtx
@@ -41,30 +46,10 @@ class PBCtx:
 
     def __post_init__(self) -> None:
         rank = bundles.bundle_rank(self.bundle, self.base.k)  # >= 1, and inside the rank cap
-        chern = bundles.total_chern(self.bundle, self.base)
+        chern = bundles.total_chern(self.bundle, self.base)  # stops at min(rank, dim)
         chern += [self.base.zero()] * (rank + 1 - len(chern))
         object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "chern_e", tuple(chern[: rank + 1]))
-
-    @property
-    def top_degree(self) -> int:
-        return self.base.dim + self.rank - 1
-
-    def zero(self) -> "PBClass":
-        return PBClass._from_clean(self, {})
-
-    def one(self) -> "PBClass":
-        return PBClass._from_clean(self, {0: self.base.one()})
-
-    def zeta(self) -> "PBClass":
-        """The hyperplane class c1(O(1)), reduced when the rank is 1."""
-        return PBClass._from_clean(self, _reduce(self, {1: self.base.one()}))
-
-    def pullback(self, alpha: ChowClass) -> "PBClass":
-        """Base class seen on the projective bundle (coefficient of zeta^0)."""
-        if alpha.ctx != self.base:
-            raise ContextMismatchError(f"{alpha.ctx} is not the base of {self}")
-        return PBClass._from_clean(self, {0: alpha} if alpha else {})
+        object.__setattr__(self, "chern_e", tuple(chern))
 
 
 def _reduce(ctx: PBCtx, terms: dict) -> dict:
@@ -101,23 +86,6 @@ class PBClass(_Combination):
                 raise ContextMismatchError("coefficient from a different base")
         self.ctx = ctx
         self.terms = _reduce(ctx, dict(enumerate(coeffs)))
-
-    def _product(self, other_terms: dict) -> dict:
-        raw: dict = {}  # never 0 + a * b: the coefficients are base classes
-        for i, a in self.terms.items():
-            for j, b in other_terms.items():
-                raw[i + j] = raw[i + j] + a * b if i + j in raw else a * b
-        return _reduce(self.ctx, raw)
-
-    def __mul__(self, other) -> "PBClass":
-        if isinstance(other, ChowClass):
-            other = self.ctx.pullback(other)
-        return super().__mul__(other)
-
-    def __rmul__(self, other) -> "PBClass":
-        if isinstance(other, (int, ChowClass)):
-            return self * other
-        return NotImplemented
 
     def __repr__(self) -> str:
         parts = [f"({self.terms[j]!r})*z^{j}" for j in sorted(self.terms)]

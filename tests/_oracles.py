@@ -15,7 +15,10 @@ how those functions rearrange the sum, not the series themselves.
 ``sym_ustar_chern_by_products`` evaluates the package's symmetric-power
 table in the elementary generators by Chow products, so agreement with
 ``bundles.total_chern`` checks the read-off of the table into the ring,
-not the table itself.
+not the table itself.  ``pb_product`` multiplies two projective-bundle
+classes, a product the package does not have: it multiplies the
+zeta-polynomials out over the base and leaves the reduction by the zeta
+relation to the ``PBClass`` constructor.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -23,7 +26,9 @@ from math import comb
 
 from schubfire import bundles
 from schubfire.chow import GrassCtx
+from schubfire.errors import ContextMismatchError
 from schubfire.partitions import schur_to_elementary
+from schubfire.projbundle import PBClass
 
 
 def lr_coefficient(lam, mu, nu):
@@ -249,11 +254,28 @@ def e_poly_in_chow(exps_poly, ctx):
 
 
 def sym_ustar_chern_by_products(r, n, d):
-    """c_0..c_dim of Sym^d U* on G(r, n): each Schur entry of the table is
-    straightened into c1..ck by the Pieri inversion and multiplied out
-    through the product kernel, without reading any Schur shape as a
-    Schubert class."""
+    """c_0..c_min(rank, dim) of Sym^d U* on G(r, n): each Schur entry of
+    the table is straightened into c1..ck by the Pieri inversion and
+    multiplied out through the product kernel, without reading any Schur
+    shape as a Schubert class."""
     ctx = GrassCtx(r, n)
     table = bundles.sym_chern(d, ctx.k, ctx.dim)
-    out = [e_poly_in_chow(schur_to_elementary(entry, ctx.k), ctx) for entry in table]
-    return out + [ctx.zero()] * (ctx.dim + 1 - len(out))
+    return [e_poly_in_chow(schur_to_elementary(entry, ctx.k), ctx) for entry in table]
+
+
+def padded(series, ring):
+    """A Chern series written out to the ring's top degree, the classes
+    above the rank (which the package leaves out) as zeros."""
+    return list(series) + [ring.zero()] * (ring.top_degree + 1 - len(series))
+
+
+def pb_product(x, y):
+    """Product of two classes on the same projective bundle."""
+    if x.ctx != y.ctx:
+        raise ContextMismatchError(f"{x.ctx} vs {y.ctx}")
+    zero = x.ctx.base.zero()
+    coeffs = [zero] * (max(x.terms, default=0) + max(y.terms, default=0) + 1)
+    for i, a in x.terms.items():
+        for j, b in y.terms.items():
+            coeffs[i + j] = coeffs[i + j] + a * b
+    return PBClass(x.ctx, coeffs)

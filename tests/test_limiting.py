@@ -52,6 +52,12 @@ def test_total_class_values():
     assert total_class(2, 4, 2) == GrassCtx(2, 4).zero()
 
 
+def test_total_class_of_lines_on_a_cubic_is_stable_in_n():
+    # The Chern series of Sym^3 U* stops at its rank 4, so a Grassmannian
+    # of dimension 2 * 10^9 - 2 costs what G(2, 6) does.
+    assert total_class(1, 10**9, 3).terms == total_class(1, 5, 3).terms
+
+
 @pytest.mark.parametrize(
     "r,n,d,count", [(1, 3, 3, 27), (3, 8, 3, 321489), (2, 9, 5, 420760566875)]
 )

@@ -1,4 +1,5 @@
-"""Projective-bundle ring: relation, products, pullback, pushforward."""
+"""Projective-bundle classes: the zeta relation, sums and scalars,
+pushforward and the projection formula."""
 
 import pytest
 
@@ -7,13 +8,13 @@ from schubfire.chow import GrassCtx
 from schubfire.errors import ContextMismatchError
 from schubfire.projbundle import PBClass, PBCtx, pushforward
 
+from _oracles import pb_product
 
-def _zeta_power(pb, p):
-    out = pb.one()
-    z = pb.zeta()
-    for _ in range(p):
-        out = out * z
-    return out
+
+def _zeta_power(pb, p, coeff=None):
+    """coeff * zeta^p, reduced by the constructor; coeff defaults to 1."""
+    base = pb.base
+    return PBClass(pb, [base.zero()] * p + [base.one() if coeff is None else coeff])
 
 
 @pytest.fixture
@@ -26,17 +27,14 @@ def setup():
 def test_ctx_validation(setup):
     g, e, pb = setup
     assert pb.rank == 6
-    assert pb.top_degree == g.dim + 5
+    assert pb.chern_e == tuple(total_chern(e, g))
     with pytest.raises(ContextMismatchError):
-        pb.pullback(GrassCtx(2, 5).one())
-
-
-def test_pb_mul_unit_and_zero(setup):
-    g, e, pb = setup
-    z = pb.zeta()
-    a = (z + pb.pullback(g.sigma((1,)))) * z
-    assert pb.one() * a == a
-    assert pb.zero() * a == pb.zero()
+        PBClass(pb, [GrassCtx(2, 5).one()])
+    # rank 5 over a base of dimension 4: c_5(E) = 0 still enters the relation
+    g13 = GrassCtx(1, 3)
+    pb = PBCtx(g13, sym(4, ustar()))
+    assert pb.rank == 5
+    assert pb.chern_e == tuple(total_chern(sym(4, ustar()), g13)) + (g13.zero(),)
 
 
 def test_trivial_bundle_projective_space_relation():
@@ -45,9 +43,11 @@ def test_trivial_bundle_projective_space_relation():
     # (zeta + h)^3 = 0, and w = zeta + h is the zeta of the trivial bundle
     g = GrassCtx(0, 3)
     pb = PBCtx(g, direct_sum(ustar(), ustar(), ustar()))
-    w = pb.zeta() + pb.pullback(g.sigma((1,)))
-    assert w * w * w == pb.zero()
-    assert w * w != pb.zero()
+    h = g.sigma((1,))
+    w_cubed = PBClass(pb, [h * h * h, 3 * (h * h), 3 * h, g.one()])
+    w_squared = PBClass(pb, [h * h, 2 * h, g.one()])
+    assert w_cubed == PBClass(pb, [])
+    assert w_squared != PBClass(pb, [])
 
 
 def test_relation_reduction_rank_two():
@@ -55,10 +55,9 @@ def test_relation_reduction_rank_two():
     g = GrassCtx(1, 3)
     pb = PBCtx(g, ustar())
     assert pb.rank == 2
-    z = pb.zeta()
     c1 = g.sigma((1,))
     c2 = g.sigma((1, 1))
-    got = (z + pb.pullback(c1)) * z
+    got = PBClass(pb, [g.zero(), c1, g.one()])
     assert got.terms == {0: -c2}
 
 
@@ -67,24 +66,25 @@ def test_relation_reduction_general_rank(setup):
     # zeta^(e-i) for i = 2..e
     g, e, pb = setup
     rank = pb.rank
-    got = (pb.zeta() + pb.pullback(pb.chern_e[1])) * _zeta_power(pb, rank - 1)
+    got = _zeta_power(pb, rank) + _zeta_power(pb, rank - 1, pb.chern_e[1])
     for j in range(rank - 1):
         assert got.terms.get(j, g.zero()) == -pb.chern_e[rank - j], j
     assert rank - 1 not in got.terms
 
 
 def test_pullback_examples(setup):
+    # a base class alpha is the constant zeta-polynomial alpha
     g, e, pb = setup
-    assert pb.pullback(g.zero()) == pb.zero()
-    assert pb.pullback(g.one()) == pb.one()
+    assert PBClass(pb, [g.zero()]) == PBClass(pb, [])
+    assert PBClass(pb, [g.one()]).terms == {0: g.one()}
     alpha = g.sigma((2, 1))
-    assert pushforward(pb.pullback(alpha) * _zeta_power(pb, pb.rank - 1)) == alpha
+    assert pushforward(_zeta_power(pb, pb.rank - 1, alpha)) == alpha
 
 
 def test_pushforward_fiber_dimension(setup):
     g, e, pb = setup
     alpha = g.sigma((1,))
-    assert pushforward(pb.pullback(alpha) * _zeta_power(pb, pb.rank - 2)) == g.zero()
+    assert pushforward(_zeta_power(pb, pb.rank - 2, alpha)) == g.zero()
 
 
 def test_pushforward_of_relation_power(setup):
@@ -97,11 +97,8 @@ def test_pushforward_of_relation_power(setup):
 def test_pushforward_matches_segre(setup):
     g, e, pb = setup
     s = segre(e, g)
-    current = _zeta_power(pb, pb.rank - 1)
-    z = pb.zeta()
     for i in range(g.dim + 1):
-        assert pushforward(current) == s[i], i
-        current = current * z
+        assert pushforward(_zeta_power(pb, pb.rank - 1 + i)) == s[i], i
 
 
 def test_unreduced_relation_pushes_to_zero(setup):
@@ -121,20 +118,18 @@ def test_unreduced_relation_pushes_to_zero(setup):
 
 def test_projection_formula(setup):
     g, e, pb = setup
-    z = pb.zeta()
     samples = [
         _zeta_power(pb, pb.rank - 1),
-        (z + pb.pullback(g.sigma((1,)))) * _zeta_power(pb, pb.rank - 2),
+        _zeta_power(pb, pb.rank - 1) + _zeta_power(pb, pb.rank - 2, g.sigma((1,))),
         _zeta_power(pb, pb.rank + 1),
     ]
     for alpha in (g.sigma((1,)), g.sigma((2, 1))):
         for a in samples:
-            assert pushforward(pb.pullback(alpha) * a) == alpha * pushforward(a)
+            assert pushforward(pb_product(PBClass(pb, [alpha]), a)) == alpha * pushforward(a)
 
 
 def test_degree_bookkeeping(setup):
     g, e, pb = setup
-    assert pb.top_degree == g.dim + pb.rank - 1
     # pushing a pure zeta power drops bookkeeping degree by the fiber dim
     top = _zeta_power(pb, pb.rank - 1 + 2)
     assert pushforward(top).degrees() == {2}
@@ -142,19 +137,23 @@ def test_degree_bookkeeping(setup):
 
 def test_pbclass_equality_and_scalars(setup):
     g, e, pb = setup
-    z = pb.zeta()
-    assert 2 * z == z + z
-    assert z - z == pb.zero()
-    assert bool(z) and not bool(pb.zero())
-    # multiplying by a base class without explicit pullback also works
-    assert g.sigma((1,)) * z == pb.pullback(g.sigma((1,))) * z
+    z = _zeta_power(pb, 1)
+    zero = PBClass(pb, [])
+    assert 2 * z == z + z == z * 2
+    assert z - z == zero and 0 * z == zero
+    assert bool(z) and not bool(zero)
+    # a class is added, scaled and pushed forward, never multiplied
+    alpha = g.sigma((1,))
+    for op in (lambda: z * z, lambda: alpha * z, lambda: z * alpha):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_mixed_context_rejected(setup):
     g, e, pb = setup
     other = PBCtx(GrassCtx(2, 5), sym(2, ustar()))
     with pytest.raises(ContextMismatchError):
-        pb.zeta() + other.zeta()
+        _zeta_power(pb, 1) + _zeta_power(other, 1)
     with pytest.raises(ContextMismatchError):
         PBClass(pb, (GrassCtx(2, 5).one(),) * pb.rank)
 
@@ -171,15 +170,16 @@ def test_ring_contexts_are_values():
     # classes of two separately built but equal contexts combine as one ring
     g = GrassCtx(2, 4)
     one, two = PBCtx(g, sym(2, ustar())), PBCtx(GrassCtx(2, 4), sym(2, ustar()))
-    x = one.zeta() + one.pullback(g.sigma((1,)))
-    y, y_one = two.zeta() * two.zeta(), one.zeta() * one.zeta()
+    x = _zeta_power(one, 1) + PBClass(one, [g.sigma((1,))])
+    y, y_one = _zeta_power(two, 2), _zeta_power(one, 2)
+    assert y == y_one
     assert x + y == x + y_one
-    assert x * y == x * y_one
-    assert pushforward(x * y) == pushforward(x * y_one)
+    assert x - y == x - y_one
+    assert pushforward(pb_product(x, y)) == pushforward(pb_product(x, y_one))
     # another bundle over the same base is another ring
     for bundle in (dual(sym(2, ustar())), direct_sum(ustar(), ustar(), ustar())):
-        other = PBCtx(g, bundle).zeta()
-        for op in (lambda: x + other, lambda: x * other, lambda: pushforward(x * other)):
+        other = _zeta_power(PBCtx(g, bundle), 1)
+        for op in (lambda: x + other, lambda: x - other):
             with pytest.raises(ContextMismatchError):
                 op()
     # equal by structure, not by Chern classes: sym(1, U*) has those of U*
