@@ -8,17 +8,21 @@ is the main correctness evidence for the combinatorial core.  The small
 x-polynomial builders (elementary, complete and monomial symmetric
 polynomials, products and integer multiples) also make the tests' inputs.
 
-Two exceptions build on the package.  ``sigma_triple_sum`` evaluates the
-paper's split formula term by term on the package's own series, so
+Four functions build on the package.  ``sigma_triple_sum`` evaluates
+the paper's split formula term by term on the package's own series, so
 agreement with ``limiting.sigma_direct`` and ``limiting.sigma_pb`` checks
 how those functions rearrange the sum, not the series themselves.
 ``sym_ustar_chern_by_products`` evaluates the package's symmetric-power
 table in the elementary generators by Chow products, so agreement with
 ``bundles.total_chern`` checks the read-off of the table into the ring,
-not the table itself.  ``pb_product`` multiplies two projective-bundle
-classes, a product the package does not have: it multiplies the
-zeta-polynomials out over the base and leaves the reduction by the zeta
-relation to the ``PBClass`` constructor.
+not the table itself.  ``segre_by_inversion`` inverts a Chern series in
+the ring by the recurrence of c(E) s(E) = 1, one product per pair of
+degrees; fed the package's Chern series, it checks ``bundles.segre``,
+which builds Segre series node by node and reads powers off a table of
+their own, against an inversion that shares neither.  ``pb_product``
+multiplies two projective-bundle classes, a product the package does not
+have: it multiplies the zeta-polynomials out over the base and leaves the
+reduction by the zeta relation to the ``PBClass`` constructor.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -267,6 +271,18 @@ def padded(series, ring):
     """A Chern series written out to the ring's top degree, the classes
     above the rank (which the package leaves out) as zeros."""
     return list(series) + [ring.zero()] * (ring.top_degree + 1 - len(series))
+
+
+def segre_by_inversion(chern, ring, cap):
+    """s_0..s_cap, the inverse of a Chern series written out to at least
+    degree cap, by s_p = -(c_1 s_(p-1) + ... + c_p s_0)."""
+    s = [ring.one()]
+    for p in range(1, cap + 1):
+        acc = ring.zero()
+        for i in range(1, p + 1):
+            acc = acc + chern[i] * s[p - i]
+        s.append(-acc)
+    return s
 
 
 def pb_product(x, y):

@@ -271,6 +271,26 @@ def test_sym_ustar_segre_grows_to_the_same_series(clear_caches):
         assert segre(e, g, max_degree=g.dim) == grown, e
 
 
+def test_a_lower_segre_cap_is_a_slice_of_the_memo(clear_caches):
+    g = GrassCtx(2, 5)
+    for e in MEMOIZED_EXPRS:
+        full = segre(e, g, max_degree=g.dim)
+        misses = bundles._sym_table.cache_info().misses
+        assert segre(e, g, max_degree=3) == full[:4], e
+        assert bundles._sym_table.cache_info().misses == misses, e
+
+
+def test_ustar_segre_on_a_wide_free_ring_is_an_inversion(clear_caches):
+    # c(U*) has k + 1 terms, so inverting it costs k products per degree.
+    # Read as h_p of the roots through ChernCtx.schur_class, every degree
+    # would be straightened into c1..c7 by the Pieri inversion, some fifty
+    # times slower.
+    started = time.perf_counter()
+    s = segre(ustar(), ChernCtx(7, 30))
+    assert time.perf_counter() - started < 2.0
+    assert len(s) == 31
+
+
 def test_sym_ustar_series_are_returned_as_copies(clear_caches):
     g = GrassCtx(2, 5)
     for e in MEMOIZED_EXPRS:

@@ -3,7 +3,8 @@ Chow classes and Chern polynomials, sums and integer multiples of
 projective-bundle classes, the projection formula and the fiber
 integrals it reads, the evaluation of e-polynomials in a ring, the
 read-off of Sym^d U* against Chow products, c(E) s(E) = 1, the Whitney
-formula and the length of a Chern series, the collapsed split formula
+formula and the length of a Chern series, Segre series against the
+inversion of the Chern series, the collapsed split formula
 against the paper's triple sum, and the `class` command on random
 input."""
 
@@ -33,6 +34,7 @@ from _oracles import (
     poly_add,
     poly_mul,
     poly_scale,
+    segre_by_inversion,
     sigma_triple_sum,
     sym_ustar_chern_by_products,
 )
@@ -343,7 +345,9 @@ def rings(draw):
 @settings(max_examples=40, deadline=None)
 @given(rings(), st.integers(1, 3))
 def test_chern_times_segre_of_sym_ustar_is_one(ring, m):
-    # sigma_direct collapses its sum over j with this identity
+    # sigma_direct collapses its sum over j with this identity.  For m >= 2
+    # the two series come from two tables built independently, the product
+    # of (1 + root t) and that of 1/(1 + root t) over the same roots.
     e = bundles.sym(m, bundles.ustar())
     one = [ring.one()] + [ring.zero()] * ring.top_degree
     chern = bundles.total_chern(e, ring)
@@ -397,6 +401,20 @@ def test_whitney_formula_on_random_bundles(ring, e, f):
     assert padded(c(ds, ring), ring) == _convolve(
         c(bundles.dual(e), ring), c(bundles.dual(f), ring), ring
     )
+
+
+# The rings of WHITNEY_RINGS have top degrees 5 to 9; a larger cap is clipped.
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(WHITNEY_RINGS), _small_bundles(), st.integers(0, 9))
+@example(GrassCtx(1, 50), bundles.sym(3, bundles.ustar()), 50)
+@example(ChernCtx(2, 50), bundles.dual(bundles.sym(1, bundles.sym(2, bundles.ustar()))), 50)
+def test_segre_equals_the_inverse_of_the_chern_series(ring, e, cap):
+    # segre builds each node's series from its children's and reads powers
+    # off the inverse table; the oracle inverts the Chern series in the ring.
+    assume(bundles.bundle_rank(e, ring.k) <= 12)
+    cap = min(cap, ring.top_degree)
+    chern = padded(bundles.total_chern(e, ring), ring)
+    assert bundles.segre(e, ring, max_degree=cap) == segre_by_inversion(chern, ring, cap), e
 
 
 @st.composite
