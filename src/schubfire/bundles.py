@@ -18,13 +18,15 @@ each as a memoized shorter monomial times one generator.
 The Chern and Segre series of every expression are computed once per
 ring, memoized by the expression's structure and the ring, and shared by
 every caller, so the direct and projective-bundle routes of ``limiting``
-draw on the same classes.  The Segre series is built node by node up to
-the highest degree asked for so far, with no inversion in the ring except
-at U* itself, whose Chern series has only k + 1 terms: a dual flips the
-signs of the odd degrees, a direct sum multiplies its summands' Segre
-series, Sym^1 E is E, and a higher power reads the inverse table, the
-product of 1/(1 + root t) over the same roots, into the ring as the
-Chern table is read.
+draw on the same classes.  The Segre series is grown in place up to the
+highest degree asked for so far, by inverting the Chern series in the
+ring, one product per pair of degrees, except where no product is
+needed: a dual flips the signs of its child's odd degrees, and the first
+prefix asked of Sym^m U*, m >= 2, on a Grassmannian with k <= 3 is read
+off the inverse table, the product of 1/(1 + root t) over the same roots,
+as the Chern table is read.  On the free ring the read-off straightens
+every degree, and with more base roots the table outgrows the products
+in the box, so the inversion is faster there.
 
 A ring context provides ``k`` (the rank of the universal subbundle),
 ``top_degree``, ``one()``, ``zero()``, ``universal_dual_chern()`` (c_0
@@ -58,7 +60,7 @@ from itertools import combinations_with_replacement
 from typing import Any
 
 from . import sympoly
-from .chow import _Combination, render
+from .chow import GrassCtx, _Combination, render
 from .errors import RankCapExceededError
 from .partitions import schur_to_elementary
 
@@ -185,14 +187,19 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
 
 
 @lru_cache(maxsize=None)
-def _sym_table(d: int, k: int, cap: int, inverse: bool = False) -> tuple[dict, ...]:
+def _sym_table(d: int, k: int, cap: int) -> tuple[dict, ...]:
+    return _root_table(d, k, cap, inverse=False)
+
+
+def _root_table(d: int, k: int, cap: int, inverse: bool) -> tuple[dict, ...]:
     """c_0..c_cap of Sym^d of a rank-k bundle, or with ``inverse`` its Segre
     classes s_0..s_cap, as Schur expansions in the roots of that bundle.
 
     Each root of the power multiplies the series in place: by 1 + root t,
     each degree taking the old degree below (degrees run down), or by
     1/(1 - root t), each taking the new one (degrees run up).  The latter
-    builds sum h_p t^p, and s_p = (-1)^p h_p (Macdonald, I.2).
+    builds sum h_p t^p, and s_p = (-1)^p h_p (Macdonald, I.2).  Not
+    memoized: ``segre`` reads an inverse table once per expression and ring.
     """
     # x-monomials are packed into one int, base B = cap + 1, slot i worth
     # B**i: an exponent in degree t is at most t <= cap, so nothing
@@ -371,10 +378,10 @@ class _MonomialEvaluator:
         return acc
 
 
-def _series_mul(a: list, b: list, ring, cap: int) -> list:
-    """Product of two series, up to the sum of their degrees or cap,
-    whichever is lower."""
-    cap = min(len(a) + len(b) - 2, cap)
+def _series_mul(a: list, b: list, ring) -> list:
+    """Product of two series, up to the sum of their degrees or the ring's
+    top degree, whichever is lower."""
+    cap = min(len(a) + len(b) - 2, ring.top_degree)
     out = [ring.zero() for _ in range(cap + 1)]
     for i, ai in enumerate(a):
         if not ai:
@@ -398,21 +405,6 @@ def _extend_inverse(c, s: list, ring, max_degree: int) -> list:
     return s
 
 
-def _read_table(table: tuple, child: BundleExpr, ring) -> list:
-    """A symmetric-power table of ``child`` read into the ring, entry by entry.
-
-    The ring knows s_lam in the roots of U* alone; of any other child it
-    knows only the Chern classes, so the table goes through c1..ck.
-    """
-    inner = _series(child, ring)[0]  # memoized for U* too, though unread
-    if child.kind == USTAR:
-        return [ring.schur_class(entry) for entry in table]
-    k_child = bundle_rank(child, ring.k)
-    gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
-    ev = _MonomialEvaluator(gens, ring)
-    return [ev.poly(schur_to_elementary(entry, k_child)) for entry in table]
-
-
 def _checked_series(expr: BundleExpr, ring) -> tuple[tuple, list]:
     if not hasattr(ring, "universal_dual_chern"):
         raise ValueError(f"bundle expressions need a GrassCtx or a ChernCtx, not {ring!r}")
@@ -425,8 +417,8 @@ def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
     """Chern series of the expression on the ring, and a prefix of its
     Segre series.
 
-    The Segre list is replaced in place by ``_segre`` when a caller asks
-    for a higher degree; neither is handed out itself, only copies of them.
+    The Segre list is extended in place by ``_segre`` as callers ask for
+    higher degrees; neither is handed out itself, only copies of them.
     """
     kind = expr.kind
     if kind == USTAR:
@@ -437,38 +429,21 @@ def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
     elif kind == SUM:
         chern = [ring.one()]
         for child in expr.children:
-            chern = _series_mul(chern, _series(child, ring)[0], ring, ring.top_degree)
+            chern = _series_mul(chern, _series(child, ring)[0], ring)
     else:  # SYM; bundle_rank has refused every other kind
         child = expr.children[0]
-        table = sym_chern(expr.power, bundle_rank(child, ring.k), max_degree=ring.top_degree)
-        chern = _read_table(table, child, ring)
+        inner = _series(child, ring)[0]
+        k_child = bundle_rank(child, ring.k)
+        table = sym_chern(expr.power, k_child, max_degree=ring.top_degree)
+        # The ring knows s_lam in the roots of U* alone; of any other child
+        # it knows only the Chern classes, so the table goes through c1..ck.
+        if child.kind == USTAR:
+            chern = [ring.schur_class(entry) for entry in table]
+        else:
+            gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
+            ev = _MonomialEvaluator(gens, ring)
+            chern = [ev.poly(schur_to_elementary(entry, k_child)) for entry in table]
     return tuple(chern), [ring.one()]
-
-
-def _segre(expr: BundleExpr, ring, cap: int) -> list:
-    """The memoized Segre list of the expression, made at least cap + 1
-    long; it may be longer, so callers slice it."""
-    chern, s = _series(expr, ring)
-    if len(s) > cap:
-        return s
-    kind = expr.kind
-    if kind == USTAR:
-        return _extend_inverse(chern, s, ring, cap)
-    if kind == DUAL:
-        inner = _segre(expr.children[0], ring, cap)[: cap + 1]
-        s[:] = [x if i % 2 == 0 else -x for i, x in enumerate(inner)]
-    elif kind == SUM:
-        acc = [ring.one()]
-        for child in expr.children:
-            acc = _series_mul(acc, _segre(child, ring, cap), ring, cap)
-        s[:] = acc
-    elif expr.power == 1:  # SYM
-        s[:] = _segre(expr.children[0], ring, cap)[: cap + 1]
-    else:
-        child = expr.children[0]
-        table = _sym_table(expr.power, bundle_rank(child, ring.k), cap, inverse=True)
-        s[:] = _read_table(table, child, ring)
-    return s
 
 
 def total_chern(expr: BundleExpr, ring) -> list:
@@ -477,10 +452,45 @@ def total_chern(expr: BundleExpr, ring) -> list:
     return list(_checked_series(expr, ring)[0])
 
 
+# The inverse table is read only where it measured faster than the
+# inversion: powers of U* on a Grassmannian, whose read-off keeps the shapes
+# in the box and makes no product, with at most this many base roots.  Cold,
+# at cap = dim, it won at every G(k, n+1) tried with k <= 3; at k = 4 and 5
+# only on the wider boxes, and at k = 6 it lost by up to 100x, its
+# x-monomials and k! signed shifts per shape outgrowing the products.  On
+# ChernCtx, or for a child other than U*, the read-off itself needs products
+# and the inversion was as fast or faster at every point tried.
+_INVERSE_TABLE_MAX_K = 3
+
+
+def _segre(expr: BundleExpr, ring, cap: int) -> list:
+    """The memoized Segre list of the expression, made at least cap + 1
+    long; it may be longer, so callers slice it."""
+    chern, s = _series(expr, ring)
+    if len(s) > cap:
+        return s
+    if expr.kind == DUAL:
+        inner = _segre(expr.children[0], ring, cap)
+        s[:] = [x if i % 2 == 0 else -x for i, x in enumerate(inner)]
+    elif (
+        len(s) == 1
+        and expr.kind == SYM
+        and expr.power > 1
+        and expr.children[0].kind == USTAR
+        and isinstance(ring, GrassCtx)
+        and ring.k <= _INVERSE_TABLE_MAX_K
+    ):
+        table = _root_table(expr.power, ring.k, cap, inverse=True)
+        s[:] = [ring.schur_class(entry) for entry in table]
+    else:  # a deeper cap extends a table's prefix by inversion, not a new table
+        _extend_inverse(chern, s, ring, cap)
+    return s
+
+
 def segre(expr: BundleExpr, ring, max_degree: int | None = None) -> list:
     """Segre classes s_0..s_cap, the inverse series of the total Chern class,
-    built node by node (see the module docstring) and memoized: a higher
-    cap than before rebuilds the series, a lower one is a slice."""
+    grown in place as callers ask for higher degrees (see the module
+    docstring for the nodes that skip the inversion)."""
     _checked_series(expr, ring)
     cap = ring.top_degree if max_degree is None else min(max_degree, ring.top_degree)
     return _segre(expr, ring, cap)[: cap + 1]

@@ -18,8 +18,9 @@ table in the elementary generators by Chow products, so agreement with
 not the table itself.  ``segre_by_inversion`` inverts a Chern series in
 the ring by the recurrence of c(E) s(E) = 1, one product per pair of
 degrees; fed the package's Chern series, it checks ``bundles.segre``,
-which builds Segre series node by node and reads powers off a table of
-their own, against an inversion that shares neither.  ``pb_product``
+which flips the signs of a dual's odd degrees and reads powers of U* on
+small Grassmannians off a table of their own, against an inversion that
+does neither.  ``pb_product``
 multiplies two projective-bundle classes, a product the package does not
 have: it multiplies the zeta-polynomials out over the base and leaves the
 reduction by the zeta relation to the ``PBClass`` constructor.

@@ -271,13 +271,28 @@ def test_sym_ustar_segre_grows_to_the_same_series(clear_caches):
         assert segre(e, g, max_degree=g.dim) == grown, e
 
 
-def test_a_lower_segre_cap_is_a_slice_of_the_memo(clear_caches):
+def test_segre_reads_one_inverse_table_per_power(clear_caches, monkeypatch):
+    # The first cap asked of Sym^2 U* on G(3, 6) reads the inverse table; a
+    # lower cap is a slice of the memo and a higher one extends the prefix
+    # by inversion, so no second table is built.  Where the inversion was
+    # measured faster, k = 4 or the free ring, no table is built at all.
+    real, built = bundles._root_table, []
+
+    def counted(d, k, cap, inverse):
+        if inverse:
+            built.append((d, k, cap))
+        return real(d, k, cap, inverse)
+
+    monkeypatch.setattr(bundles, "_root_table", counted)
     g = GrassCtx(2, 5)
     for e in MEMOIZED_EXPRS:
+        short = segre(e, g, max_degree=3)
         full = segre(e, g, max_degree=g.dim)
-        misses = bundles._sym_table.cache_info().misses
-        assert segre(e, g, max_degree=3) == full[:4], e
-        assert bundles._sym_table.cache_info().misses == misses, e
+        assert segre(e, g, max_degree=3) == short == full[:4], e
+    assert built == [(2, 3, 3)]
+    segre(sym(2, ustar()), GrassCtx(3, 9), max_degree=8)
+    segre(sym(2, ustar()), ChernCtx(3, 8))
+    assert built == [(2, 3, 3)]
 
 
 def test_ustar_segre_on_a_wide_free_ring_is_an_inversion(clear_caches):

@@ -51,9 +51,11 @@ INVOCATIONS = [
     ["class", "--expr", "segre(4,sym(2,dual(Ustar)))", "--r", "1", "--n", "5", "--latex"],
     ["class", "--expr", "segre(2,dual(sum(Ustar,Ustar)))", "--r", "2", "--n", "5", "--basis", "chern", "--format", "json"],
     ["class", "--expr", "chern(0,Ustar)", "--r", "1", "--n", "3", "--format", "json"],
-    # segre of Sym^1 reads its child's series; of Sym^2 the inverse table
+    # segre of a power of U*: inverted on the free ring and for Sym^1; read
+    # off the inverse table on a Grassmannian with k <= 3
     ["class", "--expr", "segre(6,sym(1,Ustar))", "--r", "2", "--n", "6"],
     ["class", "--expr", "segre(12,sym(2,Ustar))", "--r", "3", "--n", "9", "--basis", "chern"],
+    ["class", "--expr", "segre(14,sym(3,Ustar))", "--r", "2", "--n", "8"],
     # verify on a small grid
     ["verify", "--r-max", "2", "--n-max", "4", "--d-max", "3"],
     ["verify", "--r-max", "1", "--n-max", "4", "--d-max", "4", "--format", "json"],

@@ -346,8 +346,9 @@ def rings(draw):
 @given(rings(), st.integers(1, 3))
 def test_chern_times_segre_of_sym_ustar_is_one(ring, m):
     # sigma_direct collapses its sum over j with this identity.  For m >= 2
-    # the two series come from two tables built independently, the product
-    # of (1 + root t) and that of 1/(1 + root t) over the same roots.
+    # on a Grassmannian with k <= 3 the two series come from two tables
+    # built independently, the product of (1 + root t) and that of
+    # 1/(1 + root t) over the same roots.
     e = bundles.sym(m, bundles.ustar())
     one = [ring.one()] + [ring.zero()] * ring.top_degree
     chern = bundles.total_chern(e, ring)
@@ -407,10 +408,12 @@ def test_whitney_formula_on_random_bundles(ring, e, f):
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(WHITNEY_RINGS), _small_bundles(), st.integers(0, 9))
 @example(GrassCtx(1, 50), bundles.sym(3, bundles.ustar()), 50)
+@example(GrassCtx(2, 9), bundles.dual(bundles.sym(3, bundles.ustar())), 21)
 @example(ChernCtx(2, 50), bundles.dual(bundles.sym(1, bundles.sym(2, bundles.ustar()))), 50)
 def test_segre_equals_the_inverse_of_the_chern_series(ring, e, cap):
-    # segre builds each node's series from its children's and reads powers
-    # off the inverse table; the oracle inverts the Chern series in the ring.
+    # segre flips a dual's odd degrees and reads the first prefix of a
+    # power of U* on a small Grassmannian off the inverse table, extending
+    # it by inversion; the oracle inverts the Chern series in the ring.
     assume(bundles.bundle_rank(e, ring.k) <= 12)
     cap = min(cap, ring.top_degree)
     chern = padded(bundles.total_chern(e, ring), ring)
