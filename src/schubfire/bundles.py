@@ -3,17 +3,15 @@
 Expressions are small trees of the nodes that the split formulas and the
 CLI grammar build: the dual universal subbundle, symmetric powers, duals
 and nonempty direct sums.  Total Chern classes follow the splitting
-principle; symmetric powers go through a universal table, computed once
-per (power, rank, degree cap) by multiplying out the Chern roots of the
-power in place, on x-monomials packed into integers, and reading off the
-Schur coefficients of the elementary symmetric functions of those roots
-(``sympoly``).  The table stays in the Schur basis of the base roots.  A
-power of U* is read straight into the ring by ``schur_class``: on a
-Grassmannian s_lam of the roots of U* is sigma_lam, so no product is
-made.  A power of any other bundle is rewritten in the elementary
-generators by the Pieri inversion that the product kernel also uses
-(``partitions.schur_to_elementary``) and evaluated one monomial at a time,
-each as a memoized shorter monomial times one generator.
+principle.  Every Chern root of an expression is an integer linear form in
+the k roots of U* (``_forms``), so a symmetric power of any child goes
+through one kind of table: the product of (1 + root t) over the roots of
+the power, multiplied out in place on x-monomials packed into integers,
+its Schur coefficients read off by ``sympoly``.  The table is a Schur
+expansion in the roots of U*, which ``schur_class`` reads straight into
+the ring: on a Grassmannian s_lam is sigma_lam, so no product is made.
+The table of Sym^d U* is memoized per (power, rank, degree cap) and shared
+by every ring with that rank.
 
 The Chern and Segre series of every expression are computed once per
 ring, memoized by the expression's structure and the ring, and shared by
@@ -57,7 +55,6 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import Any
 
 from . import sympoly
 from .chow import GrassCtx, _Combination, render
@@ -169,53 +166,66 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
     """Universal Chern classes of the d-th symmetric power of a rank-k bundle.
 
     Entry i is c_i(Sym^d E) as a Schur expansion in the Chern roots of E,
-    {partition: coefficient} over shapes of weight i and at most k rows.
-    This changes the library contract: entries used to be polynomials in
-    c1..ck(E), {exponent tuple: coefficient}, and callers that want that
-    form convert an entry with ``partitions.schur_to_elementary(entry, k)``.
-    Computed by enumerating the comb(k+d-1, d) Chern roots (sums of d base
-    roots with repetition), expanding the product of (1 + root t) in place
-    on x-monomials packed into integers, and reading off the Schur
-    coefficients of each t-degree by the bialternant formula.
-    Tables are memoized per (d, k, cap), where cap is the requested degree
-    clipped to the rank of the power; a power above the rank cap is refused
-    by ``sym_rank`` before any table is built.
+    {partition: coefficient} over shapes of weight i and at most k rows;
+    ``partitions.schur_to_elementary(entry, k)`` turns an entry into a
+    polynomial in c1..ck(E).  Tables are memoized per (d, k, cap), where
+    cap is the requested degree clipped to the rank of the power; a power
+    above the rank cap, or a negative degree, is refused before any table
+    is built.
     """
     r_d = sym_rank(k, d)
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     cap = r_d if max_degree is None else min(max_degree, r_d)
     return _sym_table(d, k, cap)
 
 
 @lru_cache(maxsize=None)
 def _sym_table(d: int, k: int, cap: int) -> tuple[dict, ...]:
-    return _root_table(d, k, cap, inverse=False)
+    return _root_table(_forms(sym(d, ustar()), k), cap, inverse=False)
 
 
-def _root_table(d: int, k: int, cap: int, inverse: bool) -> tuple[dict, ...]:
-    """c_0..c_cap of Sym^d of a rank-k bundle, or with ``inverse`` its Segre
-    classes s_0..s_cap, as Schur expansions in the roots of that bundle.
+def _forms(expr: BundleExpr, k: int) -> tuple[tuple[int, ...], ...]:
+    """The Chern roots of the expression as integer linear forms in the k
+    roots of U*, one coefficient tuple per root."""
+    if expr.kind == USTAR:
+        return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+    inner = [_forms(child, k) for child in expr.children]
+    if expr.kind == DUAL:
+        return tuple(tuple(-a for a in form) for form in inner[0])
+    if expr.kind == SUM:
+        return tuple(form for forms in inner for form in forms)
+    return tuple(  # SYM: a root of the power sums the roots of one multiset
+        tuple(map(sum, zip(*multiset)))
+        for multiset in combinations_with_replacement(inner[0], expr.power)
+    )
 
-    Each root of the power multiplies the series in place: by 1 + root t,
-    each degree taking the old degree below (degrees run down), or by
-    1/(1 - root t), each taking the new one (degrees run up).  The latter
-    builds sum h_p t^p, and s_p = (-1)^p h_p (Macdonald, I.2).  Not
-    memoized: ``segre`` reads an inverse table once per expression and ring.
+
+def _root_table(forms: tuple, cap: int, inverse: bool) -> tuple[dict, ...]:
+    """c_0..c_cap of the bundle with these Chern roots (``_forms``), or with
+    ``inverse`` its Segre classes s_0..s_cap, as Schur expansions in the
+    roots of U*; the Schur coefficients are read off by ``sympoly``.
+
+    Each root multiplies the series in place: by 1 + root t, each degree
+    taking the old degree below (degrees run down), or by 1/(1 - root t),
+    each taking the new one (degrees run up).  The latter builds
+    sum h_p t^p, and s_p = (-1)^p h_p (Macdonald, I.2).  Only the tables
+    of ``sym_chern`` are memoized; ``_series`` memoizes what is read.
     """
     # x-monomials are packed into one int, base B = cap + 1, slot i worth
     # B**i: an exponent in degree t is at most t <= cap, so nothing
-    # carries and multiplying by x_i adds B**i.  Every root has positive
-    # multiplicities, so the degree-t part grows in place and never cancels.
-    base = cap + 1
+    # carries and multiplying by x_i adds B**i, m times for a coefficient m
+    # of x_i in the root (negative in a dual, where terms may cancel).
+    k, base = len(forms[0]), cap + 1
+    steps = [base**i for i in range(k)]
     series: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(cap)]
-    for n_roots, multiset in enumerate(combinations_with_replacement(range(k), d), 1):
-        root: dict[int, int] = {}
-        for i in multiset:
-            root[base**i] = root.get(base**i, 0) + 1
+    for n_roots, form in enumerate(forms, 1):
+        root = [(step, m) for step, m in zip(steps, form) if m]
         degrees = range(1, cap + 1) if inverse else range(min(cap, n_roots), 0, -1)
         for t_deg in degrees:
             target, lower = series[t_deg], series[t_deg - 1].items()
             get = target.get
-            for step, m in root.items():
+            for step, m in root:
                 if m == 1:
                     for key, c in lower:
                         key += step
@@ -254,6 +264,10 @@ class ChernCtx:
 
     k: int
     top_degree: int
+
+    def __post_init__(self) -> None:
+        if self.k < 1 or self.top_degree < 0:
+            raise ValueError(f"need k >= 1 and top_degree >= 0, got {self.k} and {self.top_degree}")
 
     def zero(self) -> "ChernPoly":
         return ChernPoly._from_clean(self, {})
@@ -346,38 +360,6 @@ def chern_latex(p: ChernPoly) -> str:
 # Splitting-principle evaluation over any coefficient ring
 
 
-class _MonomialEvaluator:
-    """Evaluates exponent-tuple polynomials in given ring elements.
-
-    Each monomial is memoized as its parent times one generator, the
-    parent being the same tuple with its last nonzero exponent lowered by
-    one, so monomials that share a prefix share its products.
-    """
-
-    def __init__(self, gens, ring):
-        self.gens = gens  # gens[i] is the (i+1)-st Chern class
-        self.ring = ring
-        self._monomials: dict[tuple[int, ...], Any] = {(0,) * len(gens): ring.one()}
-
-    def _monomial(self, exps: tuple[int, ...]):
-        chain = []  # (monomial, generator index) down to a memoized one
-        while exps not in self._monomials:
-            i = max(j for j, a in enumerate(exps) if a)
-            chain.append((exps, i))
-            exps = exps[:i] + (exps[i] - 1,) + exps[i + 1 :]
-        got = self._monomials[exps]
-        for exps, i in reversed(chain):
-            got = got * self.gens[i]
-            self._monomials[exps] = got
-        return got
-
-    def poly(self, table_entry: dict):
-        acc = self.ring.zero()
-        for exps, c in table_entry.items():
-            acc = acc + c * self._monomial(exps)
-        return acc
-
-
 def _series_mul(a: list, b: list, ring) -> list:
     """Product of two series, up to the sum of their degrees or the ring's
     top degree, whichever is lower."""
@@ -431,18 +413,12 @@ def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
         for child in expr.children:
             chern = _series_mul(chern, _series(child, ring)[0], ring)
     else:  # SYM; bundle_rank has refused every other kind
-        child = expr.children[0]
-        inner = _series(child, ring)[0]
-        k_child = bundle_rank(child, ring.k)
-        table = sym_chern(expr.power, k_child, max_degree=ring.top_degree)
-        # The ring knows s_lam in the roots of U* alone; of any other child
-        # it knows only the Chern classes, so the table goes through c1..ck.
-        if child.kind == USTAR:
-            chern = [ring.schur_class(entry) for entry in table]
+        if expr.children[0].kind == USTAR:
+            table = sym_chern(expr.power, ring.k, max_degree=ring.top_degree)
         else:
-            gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
-            ev = _MonomialEvaluator(gens, ring)
-            chern = [ev.poly(schur_to_elementary(entry, k_child)) for entry in table]
+            forms = _forms(expr, ring.k)
+            table = _root_table(forms, min(len(forms), ring.top_degree), inverse=False)
+        chern = [ring.schur_class(entry) for entry in table]
     return tuple(chern), [ring.one()]
 
 
@@ -458,8 +434,9 @@ def total_chern(expr: BundleExpr, ring) -> list:
 # at cap = dim, it won at every G(k, n+1) tried with k <= 3; at k = 4 and 5
 # only on the wider boxes, and at k = 6 it lost by up to 100x, its
 # x-monomials and k! signed shifts per shape outgrowing the products.  On
-# ChernCtx, or for a child other than U*, the read-off itself needs products
-# and the inversion was as fast or faster at every point tried.
+# ChernCtx the read-off straightens every degree, and the inversion was as
+# fast or faster at every point tried.  For children other than U* the two
+# have not been compared.
 _INVERSE_TABLE_MAX_K = 3
 
 
@@ -480,7 +457,7 @@ def _segre(expr: BundleExpr, ring, cap: int) -> list:
         and isinstance(ring, GrassCtx)
         and ring.k <= _INVERSE_TABLE_MAX_K
     ):
-        table = _root_table(expr.power, ring.k, cap, inverse=True)
+        table = _root_table(_forms(expr, ring.k), cap, inverse=True)
         s[:] = [ring.schur_class(entry) for entry in table]
     else:  # a deeper cap extends a table's prefix by inversion, not a new table
         _extend_inverse(chern, s, ring, cap)
@@ -492,5 +469,7 @@ def segre(expr: BundleExpr, ring, max_degree: int | None = None) -> list:
     grown in place as callers ask for higher degrees (see the module
     docstring for the nodes that skip the inversion)."""
     _checked_series(expr, ring)
+    if max_degree is not None and max_degree < 0:
+        raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     cap = ring.top_degree if max_degree is None else min(max_degree, ring.top_degree)
     return _segre(expr, ring, cap)[: cap + 1]

@@ -10,11 +10,10 @@ General products are computed by expanding one factor into signed products
 of elementary classes and applying the Pieri rule for vertical strips one
 factor at a time.  The expansion of s_mu in e_1..e_rows is unique; it is
 read off by inverting the same Pieri rule, which is unitriangular
-(``schur_to_elementary``, which also rewrites the symmetric-power tables of
-``bundles`` for powers of bundles other than U*, and for the free
-presentation in c1..ck).  The test suite checks the product coefficients
-against a brute-force Littlewood-Richardson tableau enumeration written
-separately.
+(``schur_to_elementary``, which also reads the symmetric-power tables of
+``bundles`` into the free presentation in c1..ck).  The test suite checks
+the product coefficients against a brute-force Littlewood-Richardson
+tableau enumeration written separately.
 """
 
 from __future__ import annotations

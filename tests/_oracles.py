@@ -8,21 +8,24 @@ is the main correctness evidence for the combinatorial core.  The small
 x-polynomial builders (elementary, complete and monomial symmetric
 polynomials, products and integer multiples) also make the tests' inputs.
 
-Four functions build on the package.  ``sigma_triple_sum`` evaluates
-the paper's split formula term by term on the package's own series, so
-agreement with ``limiting.sigma_direct`` and ``limiting.sigma_pb`` checks
-how those functions rearrange the sum, not the series themselves.
+Five functions build on the package.  ``sigma_triple_sum`` evaluates the
+paper's split formula term by term on the package's own series, so
+agreement with ``limiting.sigma_direct`` and ``limiting.sigma_pb``
+checks how those functions rearrange the sum, not the series themselves.
 ``sym_ustar_chern_by_products`` evaluates the package's symmetric-power
 table in the elementary generators by Chow products, so agreement with
 ``bundles.total_chern`` checks the read-off of the table into the ring,
-not the table itself.  ``segre_by_inversion`` inverts a Chern series in
-the ring by the recurrence of c(E) s(E) = 1, one product per pair of
-degrees; fed the package's Chern series, it checks ``bundles.segre``,
-which flips the signs of a dual's odd degrees and reads powers of U* on
-small Grassmannians off a table of their own, against an inversion that
-does neither.  ``pb_product``
-multiplies two projective-bundle classes, a product the package does not
-have: it multiplies the zeta-polynomials out over the base and leaves the
+not the table itself.  ``sym_chern_by_e_monomials`` evaluates the table
+of Sym^d of a bundle of E's rank in the Chern classes of E, so agreement
+with ``bundles.total_chern`` of sym(d, E) checks the package's Chern
+roots of E as linear forms in the roots of U*.  ``segre_by_inversion``
+inverts a Chern series in the ring by the recurrence of c(E) s(E) = 1,
+one product per pair of degrees; fed the package's Chern series, it
+checks ``bundles.segre``, which flips the signs of a dual's odd degrees
+and reads powers of U* on small Grassmannians off a table of their own,
+against an inversion that does neither.  ``pb_product`` multiplies two
+projective-bundle classes, a product the package does not have: it
+multiplies the zeta-polynomials out over the base and leaves the
 reduction by the zeta relation to the ``PBClass`` constructor.
 """
 
@@ -244,18 +247,36 @@ def sigma_triple_sum(r, n, d, k):
     return prefactor * total
 
 
-def e_poly_in_chow(exps_poly, ctx):
-    """A polynomial {(a1..ak): c} in the Chern classes c_i of U*, evaluated
-    on the Grassmannian as Chow products of c_i = sigma_(1^i)."""
-    gens = [ctx.sigma((1,) * i) for i in range(1, ctx.k + 1)]
-    acc = ctx.zero()
+def e_poly_in(exps_poly, gens, ring):
+    """A polynomial {(a1..ak): c} in the given ring elements, gens[i]
+    standing for the (i+1)-st generator, multiplied out term by term."""
+    acc = ring.zero()
     for exps, c in exps_poly.items():
-        term = ctx.one()
+        term = ring.one()
         for g, a in zip(gens, exps):
             for _ in range(a):
                 term = term * g
         acc = acc + c * term
     return acc
+
+
+def e_poly_in_chow(exps_poly, ctx):
+    """A polynomial {(a1..ak): c} in the Chern classes c_i of U*, evaluated
+    on the Grassmannian as Chow products of c_i = sigma_(1^i)."""
+    return e_poly_in(exps_poly, [ctx.sigma((1,) * i) for i in range(1, ctx.k + 1)], ctx)
+
+
+def sym_chern_by_e_monomials(expr, ring):
+    """c_0..c_min(rank, top) of expr = sym(d, E) on the ring, from the
+    universal table of Sym^d of a bundle of E's rank: each Schur entry is
+    straightened into the elementary classes by the Pieri inversion and
+    multiplied out in the Chern classes of E, without any Chern root of E."""
+    child = expr.children[0]
+    k_child = bundles.bundle_rank(child, ring.k)
+    inner = bundles.total_chern(child, ring)
+    gens = [inner[i] if i < len(inner) else ring.zero() for i in range(1, k_child + 1)]
+    table = bundles.sym_chern(expr.power, k_child, ring.top_degree)
+    return [e_poly_in(schur_to_elementary(entry, k_child), gens, ring) for entry in table]
 
 
 def sym_ustar_chern_by_products(r, n, d):

@@ -1,12 +1,12 @@
-"""Randomised invariants: the straightening, schur_expand, the ring axioms of
-Chow classes and Chern polynomials, sums and integer multiples of
-projective-bundle classes, the projection formula and the fiber
-integrals it reads, the evaluation of e-polynomials in a ring, the
-read-off of Sym^d U* against Chow products, c(E) s(E) = 1, the Whitney
-formula and the length of a Chern series, Segre series against the
-inversion of the Chern series, the collapsed split formula
-against the paper's triple sum, and the `class` command on random
-input."""
+"""Randomised invariants: the straightening, schur_expand, the ring
+axioms of Chow classes and Chern polynomials, sums and integer multiples
+of projective-bundle classes, the projection formula and the fiber
+integrals it reads, the power of every bundle against its table
+evaluated in e-monomials, the read-off of Sym^d U* against Chow
+products, c(E) s(E) = 1, the Whitney formula and the length of a Chern
+series, Segre series against the inversion of the Chern series, the
+collapsed split formula against the paper's triple sum, and the `class`
+command on random input."""
 
 import pytest
 
@@ -16,10 +16,10 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from schubfire import bundles
-from schubfire.bundles import ChernCtx, ChernPoly, _MonomialEvaluator
+from schubfire.bundles import ChernCtx, ChernPoly
 from schubfire.chow import ChowClass, GrassCtx, schur_expand
 from schubfire.cli import main
-from schubfire.errors import ContextMismatchError
+from schubfire.errors import ContextMismatchError, RankCapExceededError
 from schubfire.limiting import _fiber_integrals, sigma_direct, sigma_pb
 from schubfire.partitions import Box, iter_box_partitions, schur_to_elementary
 from schubfire.projbundle import PBClass, PBCtx, pushforward
@@ -36,6 +36,7 @@ from _oracles import (
     poly_scale,
     segre_by_inversion,
     sigma_triple_sum,
+    sym_chern_by_e_monomials,
     sym_ustar_chern_by_products,
 )
 
@@ -166,42 +167,6 @@ def test_chern_products_are_commutative_associative_and_distributive(case):
     assert (a * b) * c == a * (b * c)
     assert a * (b + c) == a * b + a * c
     assert ctx.one() * a == a == a * ctx.one()
-
-
-# Evaluation of e-polynomials, as the symmetric-power tables are evaluated:
-# one evaluator with shared monomial prefixes against term-by-term powers.
-EVAL_CONTEXTS = [GrassCtx(1, 4), GrassCtx(1, 7), GrassCtx(2, 5), GrassCtx(2, 8)] + CHERN_CONTEXTS
-
-
-@st.composite
-def e_polynomials_and_gens(draw):
-    ring = draw(st.sampled_from(EVAL_CONTEXTS))
-    k = draw(st.integers(1, 3))
-    if isinstance(ring, ChernCtx):
-        basis, cls = _chern_monomials(ring), ChernPoly
-    else:
-        basis, cls = list(iter_box_partitions(ring.box)), ChowClass
-    keys = st.sampled_from(basis)
-    gens = [cls(ring, draw(st.dictionaries(keys, COEFFS, max_size=2))) for _ in range(k)]
-    monomials = st.sampled_from(_e_monomials(k, min(ring.top_degree, 8)))
-    polys = draw(st.lists(st.dictionaries(monomials, COEFFS, max_size=4), max_size=3))
-    return ring, gens, polys
-
-
-@settings(max_examples=60, deadline=None)
-@given(e_polynomials_and_gens())
-def test_monomial_evaluator_matches_term_by_term_evaluation(case):
-    ring, gens, polys = case
-    evaluator = _MonomialEvaluator(gens, ring)
-    for poly in polys:
-        naive = ring.zero()
-        for exps, c in poly.items():
-            term = ring.one()
-            for g, a in zip(gens, exps):
-                for _ in range(a):
-                    term = term * g
-            naive = naive + c * term
-        assert evaluator.poly(poly) == naive
 
 
 # P(U*) over G(1,4), G(2,4) and P(Sym^2 U*) over G(3,5): ranks 1, 2 and 6.
@@ -402,6 +367,28 @@ def test_whitney_formula_on_random_bundles(ring, e, f):
     assert padded(c(ds, ring), ring) == _convolve(
         c(bundles.dual(e), ring), c(bundles.dual(f), ring), ring
     )
+
+
+def _rank_at_most(e, k, bound):
+    try:
+        return bundles.bundle_rank(e, k) <= bound
+    except RankCapExceededError:
+        return False
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(WHITNEY_RINGS), st.integers(1, 3), _small_bundles())
+@example(ChernCtx(3, 6), 2, bundles.sym(2, bundles.ustar()))
+@example(GrassCtx(2, 5), 2, bundles.dual(bundles.sym(2, bundles.ustar())))
+def test_power_of_any_bundle_matches_its_table_in_e_monomials(ring, m, e):
+    # The package reads sym(m, E) off a table in the roots of U*, the roots
+    # of E being linear forms in them; the oracle multiplies the universal
+    # table of E's rank out in the Chern classes of E instead.
+    assume(e != bundles.ustar())
+    assume(_rank_at_most(bundles.sym(m, e), ring.k, 64))
+    assume(bundles.bundle_rank(e, ring.k) <= 10)
+    power = bundles.sym(m, e)
+    assert bundles.total_chern(power, ring) == sym_chern_by_e_monomials(power, ring), power
 
 
 # The rings of WHITNEY_RINGS have top degrees 5 to 9; a larger cap is clipped.
