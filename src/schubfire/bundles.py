@@ -13,6 +13,16 @@ the ring: on a Grassmannian s_lam is sigma_lam, so no product is made.
 The table of Sym^d U* is memoized per (power, rank, degree cap) and shared
 by every ring with that rank.
 
+One loop (``_root_product``) multiplies a packed series by 1 + root t and
+divides it by 1 + root t, so it builds Segre classes as well, and
+``ctop_quotient`` reads c_top(F) c_R(E - F), R = rank E - rank F, off one
+such product: E's roots multiply, F's divide up to degree R, and that one
+degree is multiplied by F's roots with no shift in t.  This is the first
+term of ``limiting.sigma_direct``; with no F it is c_top(E), the product
+of E's roots, which ``class`` prints.  The expansion is memoized per
+(E, F, k), and E = Sym^d U* starts from the packed product that the table
+build of Sym^d U* has just left (``_HANDOFF``, two entries).
+
 The Chern and Segre series of every expression are computed once per
 ring, memoized by the expression's structure and the ring, and shared by
 every caller, so the direct and projective-bundle routes of ``limiting``
@@ -24,7 +34,8 @@ prefix asked of Sym^m U*, m >= 2, on a Grassmannian with k <= 3 is read
 off the inverse table, the product of 1/(1 + root t) over the same roots,
 as the Chern table is read.  On the free ring the read-off straightens
 every degree, and with more base roots the table outgrows the products
-in the box, so the inversion is faster there.
+in the box, so the inversion is faster there (``reads_roots``, which
+``limiting`` asks before reading ``ctop_quotient``).
 
 A ring context provides ``k`` (the rank of the universal subbundle),
 ``top_degree``, ``one()``, ``zero()``, ``universal_dual_chern()`` (c_0
@@ -44,9 +55,10 @@ convention.
 
 Every rank of a symmetric power is formed by ``sym_rank``, which refuses
 one above the cap (``SCHUBFIRE_RANK_CAP``, default 64) before any table is
-built, for the CLI, ``limiting`` and library callers alike.  ``total_chern``
-and ``segre`` check the cap on every call, before the memo, so a series
-computed under a higher cap is refused once the cap is lowered.
+built, for the CLI, ``limiting`` and library callers alike.  ``total_chern``,
+``segre`` and ``ctop_quotient`` check the cap on every call, before the
+memo, so a class computed under a higher cap is refused once the cap is
+lowered.
 """
 
 from __future__ import annotations
@@ -180,9 +192,53 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
     return _sym_table(d, k, cap)
 
 
+# Root products are read into the ring in place of products in it only
+# where that measured faster: on a Grassmannian, whose read-off keeps the
+# shapes in the box and makes no product, with at most this many base roots.
+# For the inverse table of a power of U*: cold, at cap = dim, it won at
+# every G(k, n+1) tried with k <= 3; at k = 4 and 5 only on the wider boxes,
+# and at k = 6 it lost by up to 100x, its x-monomials and k! signed shifts
+# per shape outgrowing the products.  On ChernCtx the read-off straightens
+# every degree, and the inversion was as fast or faster at every point
+# tried.  For children other than U* the two have not been compared.  The
+# first term of ``limiting.sigma_direct`` follows the same rule: read off
+# ``ctop_quotient`` at k = 4, a cold split (3, 8, 3, 1) was about 1.2x
+# slower than by products.
+_ROOT_READ_MAX_K = 3
+
+
+def reads_roots(expr: BundleExpr, ring) -> bool:
+    """True where classes of the expression, a power Sym^m U* with m >= 2,
+    are read off root products rather than made by products in the ring;
+    Sym^1 U* is U*, whose short Chern series inverts cheaply."""
+    return (
+        expr.kind == SYM
+        and expr.power > 1
+        and expr.children[0].kind == USTAR
+        and isinstance(ring, GrassCtx)
+        and ring.k <= _ROOT_READ_MAX_K
+    )
+
+
+# The packed root products of the last powers of U* that ``_sym_table``
+# built to their top degree, for ``_quotient_table`` to divide rather than
+# multiply out again: (expression, k) -> packed series.  In a split they are
+# Sym^d and Sym^k U*; keeping every one would hold the product of every
+# table built for as long as the process runs.
+_HANDOFF: dict = {}
+_HANDOFF_SIZE = 2
+
+
 @lru_cache(maxsize=None)
 def _sym_table(d: int, k: int, cap: int) -> tuple[dict, ...]:
-    return _root_table(_forms(sym(d, ustar()), k), cap, inverse=False)
+    power = sym(d, ustar())
+    series = _root_product(_unit_series(cap), _forms(power, k), cap + 1)
+    if k <= _ROOT_READ_MAX_K:  # the quotient is read only where reads_roots holds
+        _HANDOFF.pop((power, k), None)
+        _HANDOFF[power, k] = series
+        if len(_HANDOFF) > _HANDOFF_SIZE:
+            del _HANDOFF[next(iter(_HANDOFF))]
+    return _read_off(series, cap + 1, k)
 
 
 def _forms(expr: BundleExpr, k: int) -> tuple[tuple[int, ...], ...]:
@@ -201,27 +257,45 @@ def _forms(expr: BundleExpr, k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _root_table(forms: tuple, cap: int, inverse: bool) -> tuple[dict, ...]:
-    """c_0..c_cap of the bundle with these Chern roots (``_forms``), or with
-    ``inverse`` its Segre classes s_0..s_cap, as Schur expansions in the
-    roots of U*; the Schur coefficients are read off by ``sympoly``.
+def _unit_series(cap: int) -> list[dict[int, int]]:
+    return [{0: 1}] + [{} for _ in range(cap)]
 
-    Each root multiplies the series in place: by 1 + root t, each degree
-    taking the old degree below (degrees run down), or by 1/(1 - root t),
-    each taking the new one (degrees run up).  The latter builds
-    sum h_p t^p, and s_p = (-1)^p h_p (Macdonald, I.2).  Only the tables
-    of ``sym_chern`` are memoized; ``_series`` memoizes what is read.
+
+def _has_opposite_roots(forms: tuple) -> bool:
+    """True if some nonzero root's negative is a root too, as in powers of
+    E + E*: (1 + root t)(1 - root t) = 1 - root^2 t^2, and the products
+    keep every monomial whose coefficient cancels this way, as a 0."""
+    roots = set(forms)
+    return any(any(form) and tuple(-m for m in form) in roots for form in roots)
+
+
+def _root_product(series: list, forms: tuple, base: int, divide: bool = False) -> list:
+    """Multiplies a packed series in place by 1 + root t for each of these
+    Chern roots (``_forms``), or with ``divide`` by 1/(1 + root t), up to
+    its last degree, and returns it.
+
+    Multiplying, each degree takes the old degree below, so degrees run
+    down; dividing, it takes the new one, s_t - root s_(t-1), so they run
+    up.  Where some root's negative is a root too, the products keep many
+    monomials whose coefficient has cancelled to 0, and these are dropped
+    after each root so that later roots do not walk them; the division
+    leaves few, and is left as it is.
     """
-    # x-monomials are packed into one int, base B = cap + 1, slot i worth
-    # B**i: an exponent in degree t is at most t <= cap, so nothing
-    # carries and multiplying by x_i adds B**i, m times for a coefficient m
-    # of x_i in the root (negative in a dual, where terms may cancel).
-    k, base = len(forms[0]), cap + 1
-    steps = [base**i for i in range(k)]
-    series: list[dict[int, int]] = [{0: 1}] + [{} for _ in range(cap)]
-    for n_roots, form in enumerate(forms, 1):
-        root = [(step, m) for step, m in zip(steps, form) if m]
-        degrees = range(1, cap + 1) if inverse else range(min(cap, n_roots), 0, -1)
+    # x-monomials are packed into one int, slot i worth base**i: no exponent
+    # reaches the base, so nothing carries and multiplying by x_i adds
+    # base**i, m times for a coefficient m of x_i in the root (negative in
+    # a dual, and in every root divided by).
+    cap = len(series) - 1
+    steps = [base**i for i in range(len(forms[0]))]
+    filled = max(t for t, p in enumerate(series) if p)
+    prune = not divide and _has_opposite_roots(forms)
+    for form in forms:
+        root = [(step, -m if divide else m) for step, m in zip(steps, form) if m]
+        if divide:
+            degrees = range(1, cap + 1)
+        else:
+            filled = min(cap, filled + 1)
+            degrees = range(filled, 0, -1)
         for t_deg in degrees:
             target, lower = series[t_deg], series[t_deg - 1].items()
             get = target.get
@@ -230,15 +304,49 @@ def _root_table(forms: tuple, cap: int, inverse: bool) -> tuple[dict, ...]:
                     for key, c in lower:
                         key += step
                         target[key] = get(key, 0) + c
+                elif m == -1:
+                    for key, c in lower:
+                        key += step
+                        target[key] = get(key, 0) - c
                 else:
                     for key, c in lower:
                         key += step
                         target[key] = get(key, 0) + c * m
-    table = [sympoly.schur_coefficients(_unpack(p, base, k), k) for p in series]
-    if inverse:
-        for p in range(1, cap + 1, 2):
-            table[p] = {lam: -c for lam, c in table[p].items()}
-    return tuple(table)
+        if prune:
+            for t_deg in degrees:
+                series[t_deg] = {key: c for key, c in series[t_deg].items() if c}
+    return series
+
+
+def _times_roots(poly: dict[int, int], forms: tuple, base: int) -> dict[int, int]:
+    """A packed polynomial times the product of these roots, with no shift
+    in t."""
+    steps = [base**i for i in range(len(forms[0]))]
+    for form in forms:
+        out: dict[int, int] = {}
+        get = out.get
+        for step, m in zip(steps, form):
+            if m:
+                for key, c in poly.items():
+                    key += step
+                    out[key] = get(key, 0) + c * m
+        poly = out
+    return poly
+
+
+def _root_table(forms: tuple, cap: int, inverse: bool) -> tuple[dict, ...]:
+    """c_0..c_cap of the bundle with these Chern roots (``_forms``), or with
+    ``inverse`` its Segre classes s_0..s_cap, as Schur expansions in the
+    roots of U*.  Only the tables of ``sym_chern`` are memoized;
+    ``_series`` memoizes what is read."""
+    base = cap + 1
+    series = _root_product(_unit_series(cap), forms, base, divide=inverse)
+    return _read_off(series, base, len(forms[0]))
+
+
+def _read_off(series: list, base: int, k: int) -> tuple[dict, ...]:
+    """Schur coefficients of each packed degree, read off by ``sympoly``."""
+    return tuple(sympoly.schur_coefficients(_unpack(p, base, k), k) for p in series)
 
 
 def _unpack(packed: dict[int, int], base: int, k: int) -> sympoly.XPoly:
@@ -248,6 +356,35 @@ def _unpack(packed: dict[int, int], base: int, k: int) -> sympoly.XPoly:
         slots.append([key % base for key in keys])
         keys = [key // base for key in keys]
     return dict(zip(zip(*slots), packed.values()))
+
+
+@lru_cache(maxsize=None)
+def _quotient_table(e: BundleExpr, f: BundleExpr | None, k: int) -> dict:
+    """The Schur expansion of ``ctop_quotient`` in the roots of U*.
+
+    By the splitting principle c_R(E - F) is the degree-R part of the
+    product of 1 + root t over E's roots and of 1/(1 + root t) over F's
+    (Macdonald, I.2-3), and c_top(F) is the product of F's roots.  So E's
+    roots multiply the series up to degree R, F's divide it, and its degree
+    R alone is multiplied by F's roots with no shift in t.  E's series is
+    taken from ``_HANDOFF`` when ``_sym_table`` has just built it to its
+    top degree, packed in the base used here.  With f None the product is
+    that of E's roots, read at degree rank E.
+    """
+    e_forms = _forms(e, k)
+    base = len(e_forms) + 1  # no exponent of the product exceeds rank E
+    if f is None:
+        top, f_forms = {0: 1}, e_forms
+    else:
+        f_forms = _forms(f, k)
+        cap = len(e_forms) - len(f_forms)
+        handed = _HANDOFF.get((e, k))
+        if handed is not None and len(handed) == base:
+            series = [dict(p) for p in handed[: cap + 1]]
+        else:
+            series = _root_product(_unit_series(cap), e_forms, base)
+        top = _root_product(series, f_forms, base, divide=True)[cap]
+    return sympoly.schur_coefficients(_unpack(_times_roots(top, f_forms, base), base, k), k)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +524,13 @@ def _extend_inverse(c, s: list, ring, max_degree: int) -> list:
     return s
 
 
-def _checked_series(expr: BundleExpr, ring) -> tuple[tuple, list]:
+def _check_ring(ring) -> None:
     if not hasattr(ring, "universal_dual_chern"):
         raise ValueError(f"bundle expressions need a GrassCtx or a ChernCtx, not {ring!r}")
+
+
+def _checked_series(expr: BundleExpr, ring) -> tuple[tuple, list]:
+    _check_ring(ring)
     bundle_rank(expr, ring.k)  # the cap holds on a memo hit too
     return _series(expr, ring)
 
@@ -428,18 +569,6 @@ def total_chern(expr: BundleExpr, ring) -> list:
     return list(_checked_series(expr, ring)[0])
 
 
-# The inverse table is read only where it measured faster than the
-# inversion: powers of U* on a Grassmannian, whose read-off keeps the shapes
-# in the box and makes no product, with at most this many base roots.  Cold,
-# at cap = dim, it won at every G(k, n+1) tried with k <= 3; at k = 4 and 5
-# only on the wider boxes, and at k = 6 it lost by up to 100x, its
-# x-monomials and k! signed shifts per shape outgrowing the products.  On
-# ChernCtx the read-off straightens every degree, and the inversion was as
-# fast or faster at every point tried.  For children other than U* the two
-# have not been compared.
-_INVERSE_TABLE_MAX_K = 3
-
-
 def _segre(expr: BundleExpr, ring, cap: int) -> list:
     """The memoized Segre list of the expression, made at least cap + 1
     long; it may be longer, so callers slice it."""
@@ -449,14 +578,7 @@ def _segre(expr: BundleExpr, ring, cap: int) -> list:
     if expr.kind == DUAL:
         inner = _segre(expr.children[0], ring, cap)
         s[:] = [x if i % 2 == 0 else -x for i, x in enumerate(inner)]
-    elif (
-        len(s) == 1
-        and expr.kind == SYM
-        and expr.power > 1
-        and expr.children[0].kind == USTAR
-        and isinstance(ring, GrassCtx)
-        and ring.k <= _INVERSE_TABLE_MAX_K
-    ):
+    elif len(s) == 1 and reads_roots(expr, ring):
         table = _root_table(_forms(expr, ring.k), cap, inverse=True)
         s[:] = [ring.schur_class(entry) for entry in table]
     else:  # a deeper cap extends a table's prefix by inversion, not a new table
@@ -473,3 +595,19 @@ def segre(expr: BundleExpr, ring, max_degree: int | None = None) -> list:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     cap = ring.top_degree if max_degree is None else min(max_degree, ring.top_degree)
     return _segre(expr, ring, cap)[: cap + 1]
+
+
+def ctop_quotient(e: BundleExpr, f: BundleExpr | None, ring):
+    """c_top(F) c_R(E - F), R = rank E - rank F, on the ring, or c_top(E)
+    when f is None; zero when R < 0 or rank E is above the ring's top
+    degree.
+
+    The class is read off one root product (``_quotient_table``) by
+    ``schur_class``, with no product in the ring.  Its Schur expansion is
+    memoized per (E, F, k) and shared by every ring with that k.
+    """
+    _check_ring(ring)
+    rank = bundle_rank(e, ring.k)
+    if rank > ring.top_degree or (f is not None and bundle_rank(f, ring.k) > rank):
+        return ring.zero()
+    return ring.schur_class(_quotient_table(e, f, ring.k))

@@ -26,7 +26,11 @@ faster); the bundle route is kept as a cross-check.  The two must agree
 exactly as classes, and their sum must equal the undegenerated total.
 Both take the Chern and Segre classes of Sym^m U* from ``bundles``, which
 computes them once per Grassmannian; the only memos kept here are the
-finished classes of each route per problem.  A split over both components
+finished classes of each route per problem.  On a Grassmannian with
+k <= 3 the direct route reads its first term off one product over the
+Chern roots (``bundles.ctop_quotient``), while the bundle route forms the
+same sum by Chow products, so ``--route both`` checks the one against an
+arithmetic of its own.  A split over both components
 asks for each problem twice, once as k and once as the mirror split's l.
 """
 
@@ -108,6 +112,13 @@ def sigma_direct(r: int, n: int, d: int, k: int) -> ChowClass:
                 c_i(Sym^d U*) s_h(Sym^k U*) s_(Q-i-h)(E) ),
 
     whose second term is absent when Q < 0 (always, on lines).
+
+    The first term is c_(r_k)(Sym^k U*) c_R(Sym^d U* - Sym^k U*), the sum
+    over i being the degree-R part of c(Sym^d U*) / c(Sym^k U*).  Where
+    ``bundles.reads_roots`` holds for Sym^k U* (a Grassmannian with
+    k <= 3, and Sym^k U* not U* itself) it is read off one root product
+    by ``bundles.ctop_quotient``, with no Chow product, so on lines the
+    class costs none.  Elsewhere the sum is formed by R + 1 products.
     """
     ProblemParams(r, n, d, k)
     bundles.sym_rank(r + 1, d)
@@ -123,18 +134,29 @@ def _sigma_direct_cached(r: int, n: int, d: int, k: int) -> ChowClass:
         return ctx.zero()
     R = r_d - r_k
     Q = R - r_l
-    prefactor = bundles.total_chern(_sym_ustar(k), ctx)[r_k]
+    sym_d, sym_k, sym_l = _sym_ustar(d), _sym_ustar(k), _sym_ustar(l)
+    roots = bundles.reads_roots(sym_k, ctx)
+    if roots:  # the first term, prefactor included, off one root product
+        first = bundles.ctop_quotient(sym_d, sym_k, ctx)
+        if Q < 0:
+            return first
+    prefactor = bundles.total_chern(sym_k, ctx)[r_k]
     if not prefactor:
         return ctx.zero()
-    cd = bundles.total_chern(_sym_ustar(d), ctx)
-    sk = bundles.segre(_sym_ustar(k), ctx, max_degree=R)
-    total = ctx.zero()
-    for i in range(R + 1):
-        if cd[i] and sk[R - i]:
-            total = total + cd[i] * sk[R - i]
-    if Q < 0:
-        return prefactor * total
-    sl = bundles.segre(_sym_ustar(l), ctx, max_degree=Q)
+    cd = bundles.total_chern(sym_d, ctx)
+    sk = bundles.segre(sym_k, ctx, max_degree=R)
+    if not roots:
+        total = ctx.zero()
+        for i in range(R + 1):
+            if cd[i] and sk[R - i]:
+                total = total + cd[i] * sk[R - i]
+        if Q < 0:
+            return prefactor * total
+    # Read off roots, this side asks s(Sym^l U*) to the deepest cap a split
+    # asks of it, the R of the mirror side, so that the mirror split and the
+    # bundle route slice it rather than extend it by inversion, which costs
+    # products; the inverse table of Sym^l U* is then built once.
+    sl = bundles.segre(sym_l, ctx, max_degree=r_d - r_l if roots else Q)
     rest = ctx.zero()
     for i in range(Q + 1):
         if not cd[i]:
@@ -145,7 +167,8 @@ def _sigma_direct_cached(r: int, n: int, d: int, k: int) -> ChowClass:
                 inner = inner + comb(r_d - 1 - i, r_k - 1 + h) * (sk[h] * sl[Q - i - h])
         if inner:
             rest = rest + cd[i] * inner
-    return prefactor * (total - bundles.total_chern(_sym_ustar(l), ctx)[r_l] * rest)
+    second = bundles.total_chern(sym_l, ctx)[r_l] * rest
+    return first - prefactor * second if roots else prefactor * (total - second)
 
 
 def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:

@@ -8,7 +8,7 @@ is the main correctness evidence for the combinatorial core.  The small
 x-polynomial builders (elementary, complete and monomial symmetric
 polynomials, products and integer multiples) also make the tests' inputs.
 
-Five functions build on the package.  ``sigma_triple_sum`` evaluates the
+Six functions build on the package.  ``sigma_triple_sum`` evaluates the
 paper's split formula term by term on the package's own series, so
 agreement with ``limiting.sigma_direct`` and ``limiting.sigma_pb``
 checks how those functions rearrange the sum, not the series themselves.
@@ -23,9 +23,12 @@ inverts a Chern series in the ring by the recurrence of c(E) s(E) = 1,
 one product per pair of degrees; fed the package's Chern series, it
 checks ``bundles.segre``, which flips the signs of a dual's odd degrees
 and reads powers of U* on small Grassmannians off a table of their own,
-against an inversion that does neither.  ``pb_product`` multiplies two
-projective-bundle classes, a product the package does not have: it
-multiplies the zeta-polynomials out over the base and leaves the
+against an inversion that does neither.  ``ctop_quotient_by_products``
+forms c_top(F) c_R(E - F) from those series by products in the ring, so
+agreement with ``bundles.ctop_quotient`` checks its root product, whose
+division by F's roots stands in for the Segre series.  ``pb_product``
+multiplies two projective-bundle classes, a product the package does not
+have: it multiplies the zeta-polynomials out over the base and leaves the
 reduction by the zeta relation to the ``PBClass`` constructor.
 """
 
@@ -305,6 +308,33 @@ def segre_by_inversion(chern, ring, cap):
             acc = acc + chern[i] * s[p - i]
         s.append(-acc)
     return s
+
+
+def ctop_quotient_by_products(e, f, ring):
+    """c_top(F) * sum over i of c_i(E) s_(R-i)(F), R = rank E - rank F, by
+    products in the ring of the package's Chern series of E and F and of
+    F's Segre series inverted here; c_top(E) when f is None.  This is
+    ``bundles.ctop_quotient``, which reads the class off one root product."""
+    rank_e = bundles.bundle_rank(e, ring.k)
+    size = max(ring.top_degree, rank_e) + 1
+
+    def chern(x):
+        series = bundles.total_chern(x, ring)
+        return series + [ring.zero()] * (size - len(series))
+
+    ce = chern(e)
+    if f is None:
+        return ce[rank_e]
+    rank_f = bundles.bundle_rank(f, ring.k)
+    if rank_f > rank_e:
+        return ring.zero()
+    cf = chern(f)
+    R = rank_e - rank_f
+    sf = segre_by_inversion(cf, ring, R)
+    total = ring.zero()
+    for i in range(R + 1):
+        total = total + ce[i] * sf[R - i]
+    return cf[rank_f] * total
 
 
 def pb_product(x, y):

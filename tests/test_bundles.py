@@ -296,6 +296,17 @@ def test_segre_reads_one_inverse_table_per_power(clear_caches, monkeypatch):
     assert built == expected
 
 
+def test_root_product_drops_cancelled_monomials():
+    # The roots of Sym^2(U* + U) come in opposite pairs, x_i - x_j and
+    # x_j - x_i, whose products cancel monomials; kept as zeros, they were
+    # 783 of the 937 packed entries at the end, and every later root walked
+    # them again.
+    forms = bundles._forms(sym(2, direct_sum(ustar(), dual(ustar()))), 3)
+    series = bundles._root_product(bundles._unit_series(21), forms, 22)
+    assert sum(len(p) for p in series) == 154
+    assert all(c for p in series for c in p.values())
+
+
 def test_ustar_segre_on_a_wide_free_ring_is_an_inversion(clear_caches):
     # c(U*) has k + 1 terms, so inverting it costs k products per degree.
     # Read as h_p of the roots through ChernCtx.schur_class, every degree

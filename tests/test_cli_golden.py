@@ -41,6 +41,10 @@ INVOCATIONS = [
     ["split", "--r", "1", "--n", "6", "--d", "4", "--k", "3", "--route", "direct"],
     ["split", "--r", "1", "--n", "6", "--d", "4", "--k", "3", "--route", "pb", "--format", "json"],
     ["split", "--r", "1", "--n", "6", "--d", "4", "--k", "1", "--route", "both"],
+    # the first term of sigma_direct read off one root product: lines, and
+    # a plane case whose second term is present, checked against the bundle route
+    ["split", "--r", "1", "--n", "25", "--d", "47", "--k", "23"],
+    ["split", "--r", "2", "--n", "12", "--d", "6", "--k", "3", "--route", "both"],
     # class: ctop, chern and segre of nested expressions in both bases
     ["class", "--expr", "ctop(sym(2,Ustar))", "--r", "2", "--n", "6", "--basis", "chern"],
     ["class", "--expr", "ctop(sym(2,Ustar))", "--r", "2", "--n", "6"],

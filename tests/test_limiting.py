@@ -295,10 +295,12 @@ def test_sigma_direct_equals_the_uncollapsed_triple_sum(r, n, d, k):
     assert sigma_pb(r, n, d, k) == expect
 
 
-@pytest.mark.parametrize("r,n,d,k,bound", [(3, 8, 3, 1, 300), (1, 25, 47, 23, 1200)])
+@pytest.mark.parametrize("r,n,d,k,bound", [(3, 8, 3, 1, 300), (1, 25, 47, 23, 0)])
 def test_sigma_direct_product_count(clear_caches, monkeypatch, r, n, d, k, bound):
     # Products of Chow classes, not seconds: the uncollapsed sum took 432
-    # and 1672 products for both sides of these two problems.
+    # and 1672 products for both sides of these two problems.  On lines the
+    # class is read off one root product (k = 2 <= 3, and Q < 0), so none
+    # is made; at k = 4 the sum is still formed by products.
     total_class(r, n, d)
     product, calls = ChowClass._product, []
 
@@ -309,7 +311,31 @@ def test_sigma_direct_product_count(clear_caches, monkeypatch, r, n, d, k, bound
     monkeypatch.setattr(ChowClass, "_product", counted)
     sigma_direct(r, n, d, k)
     sigma_direct(r, n, d, d - k)
-    assert 0 < len(calls) <= bound
+    assert len(calls) <= bound
+    assert bool(calls) == (bound > 0)
+
+
+def test_sigma_direct_divides_the_power_total_class_built(clear_caches, monkeypatch):
+    # total_class multiplies Sym^47 U*'s 48 roots out; both sides of the
+    # split divide that packed product by their own roots instead of
+    # multiplying it out again.  Without the hand-off it is rebuilt.
+    real, multiplied = bundles._root_product, []
+
+    def counted(series, forms, base, divide=False):
+        if not divide:
+            multiplied.append(len(forms))
+        return real(series, forms, base, divide)
+
+    monkeypatch.setattr(bundles, "_root_product", counted)
+    total_class(1, 25, 47)
+    expect = [sigma_direct(1, 25, 47, k) for k in (23, 24)]
+    assert multiplied == [48]
+    assert len(bundles._HANDOFF) <= bundles._HANDOFF_SIZE
+    limiting._sigma_direct_cached.cache_clear()
+    bundles._quotient_table.cache_clear()
+    bundles._HANDOFF.clear()
+    assert [sigma_direct(1, 25, 47, k) for k in (23, 24)] == expect
+    assert multiplied == [48, 48, 48]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,8 @@ of projective-bundle classes, the projection formula and the fiber
 integrals it reads, the power of every bundle against its table
 evaluated in e-monomials, the read-off of Sym^d U* against Chow
 products, c(E) s(E) = 1, the Whitney formula and the length of a Chern
-series, Segre series against the inversion of the Chern series, the
+series, Segre series against the inversion of the Chern series,
+c_top(F) c_R(E - F) off one root product against Chow products, the
 collapsed split formula against the paper's triple sum, and the `class`
 command on random input."""
 
@@ -26,6 +27,7 @@ from schubfire.projbundle import PBClass, PBCtx, pushforward
 from schubfire.sympoly import schur_coefficients
 
 from _oracles import (
+    ctop_quotient_by_products,
     e_poly_in_chow,
     elementary_x,
     monomial_sym_x,
@@ -405,6 +407,41 @@ def test_segre_equals_the_inverse_of_the_chern_series(ring, e, cap):
     cap = min(cap, ring.top_degree)
     chern = padded(bundles.total_chern(e, ring), ring)
     assert bundles.segre(e, ring, max_degree=cap) == segre_by_inversion(chern, ring, cap), e
+
+
+# Grassmannians with k <= 3, where ``limiting.sigma_direct`` reads its first
+# term off the root product; the boxes one and two columns wide among them.
+QUOTIENT_RINGS = [
+    GrassCtx(0, 3),
+    GrassCtx(1, 2),
+    GrassCtx(1, 3),
+    GrassCtx(1, 9),
+    GrassCtx(2, 3),
+    GrassCtx(2, 4),
+    GrassCtx(2, 6),
+    GrassCtx(2, 9),
+]
+_POWERS_OF_USTAR = st.builds(bundles.sym, st.integers(1, 5), st.just(bundles.ustar()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(QUOTIENT_RINGS),
+    st.one_of(_POWERS_OF_USTAR, _small_bundles()),
+    st.one_of(st.none(), _POWERS_OF_USTAR, _small_bundles()),
+)
+@example(GrassCtx(1, 25), bundles.sym(47, bundles.ustar()), bundles.sym(23, bundles.ustar()))
+@example(GrassCtx(2, 12), bundles.sym(6, bundles.ustar()), bundles.sym(3, bundles.ustar()))
+@example(GrassCtx(2, 4), bundles.sym(2, bundles.ustar()), bundles.sym(1, bundles.ustar()))
+@example(GrassCtx(2, 9), bundles.sym(2, bundles.dual(bundles.sym(2, bundles.ustar()))), None)
+@example(GrassCtx(1, 9), bundles.sym(3, bundles.dual(bundles.ustar())), bundles.ustar())
+def test_ctop_quotient_equals_chow_products(ring, e, f):
+    # The package multiplies E's roots out to degree R, divides by F's and
+    # multiplies that one degree by F's roots; the oracle takes c(E), c(F)
+    # and the inverse of c(F) in the ring and multiplies them out there.
+    assume(_rank_at_most(e, ring.k, 48))
+    assume(f is None or _rank_at_most(f, ring.k, 24))
+    assert bundles.ctop_quotient(e, f, ring) == ctop_quotient_by_products(e, f, ring), (e, f)
 
 
 @st.composite
