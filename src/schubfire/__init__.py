@@ -26,14 +26,12 @@ from .chow import (
     GrassCtx,
     integral,
     schubert_string,
-    schur_expand,
     serialize_class,
 )
 from .errors import (
     ContextMismatchError,
     DegreeMismatchError,
     ExprParseError,
-    NonSymmetricInputError,
     RankCapExceededError,
     RouteMismatchError,
     SchubfireError,
@@ -72,7 +70,6 @@ __all__ = [
     "DegreeMismatchError",
     "ExprParseError",
     "GrassCtx",
-    "NonSymmetricInputError",
     "PBClass",
     "PBCtx",
     "ProblemParams",
@@ -96,7 +93,6 @@ __all__ = [
     "pushforward",
     "rank_cap",
     "schubert_string",
-    "schur_expand",
     "segre",
     "serialize_class",
     "sigma_direct",

@@ -23,14 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from . import sympoly
 from .errors import ContextMismatchError, DegreeMismatchError
 from .partitions import (
     Box,
     Partition,
     _lr,
     fits_box,
-    iter_box_partitions,
     normalize,
     weight,
 )
@@ -90,9 +88,6 @@ class GrassCtx:
         return ChowClass._from_clean(
             self, {lam: c for lam, c in schur.items() if c and (not lam or lam[0] <= cols)}
         )
-
-    def point_class(self) -> "ChowClass":
-        return self.sigma((self.box.cols,) * self.box.rows)
 
     def universal_dual_chern(self) -> list["ChowClass"]:
         """Chern classes of the dual universal subbundle, c_0..c_min(k, top)."""
@@ -237,41 +232,6 @@ def integral(a: ChowClass) -> int:
         )
     full = (a.ctx.box.cols,) * a.ctx.box.rows
     return a.terms.get(full, 0)
-
-
-def schur_expand(p: Mapping, ctx: GrassCtx) -> ChowClass:
-    """Image in the Chow ring of a symmetric polynomial in the Chern roots.
-
-    p maps exponent tuples (in up to k = r+1 variables) to integers.  The
-    polynomial must be symmetric.  Only the Schur coefficients of the box
-    partitions are read off (``sympoly.schur_coefficient``), so pieces of
-    degree above the ring dimension and Schur terms leaving the box vanish.
-    """
-    k = ctx.k
-    xdict: sympoly.XPoly = {}
-    for exps, c in p.items():
-        t = tuple(int(e) for e in exps)
-        if any(e < 0 for e in t):
-            raise ValueError(f"negative exponent in {exps}")
-        while len(t) > k and t[-1] == 0:
-            t = t[:-1]
-        if len(t) > k:
-            raise ValueError(f"monomial {exps} uses more than {k} variables")
-        t = t + (0,) * (k - len(t))
-        c = int(c)
-        if c:
-            v = xdict.get(t, 0) + c
-            if v:
-                xdict[t] = v
-            elif t in xdict:
-                del xdict[t]
-    sympoly.check_symmetric(xdict, k)
-    terms = {}
-    for lam in iter_box_partitions(ctx.box):
-        c = sympoly.schur_coefficient(xdict, lam, k)
-        if c:
-            terms[lam] = c
-    return ChowClass._from_clean(ctx, terms)
 
 
 def render(items, factors, latex: bool) -> str:

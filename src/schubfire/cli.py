@@ -283,6 +283,8 @@ def cmd_class(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.r_max < 1 or args.n_max < 2 or args.d_max < 2:
+        raise ValueError("empty grid: verify needs r-max >= 1, n-max >= 2 and d-max >= 2")
     started = _now_ms()
     grid = []
     failures = 0

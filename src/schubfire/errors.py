@@ -13,10 +13,6 @@ class DegreeMismatchError(SchubfireError):
     """A degree-sensitive operation received a class of the wrong degree."""
 
 
-class NonSymmetricInputError(SchubfireError):
-    """A polynomial that must be symmetric is not."""
-
-
 class RankCapExceededError(SchubfireError):
     """A requested computation exceeds the symmetric-power rank guardrail."""
 

@@ -27,24 +27,9 @@ from functools import lru_cache
 from itertools import permutations
 from typing import Iterator
 
-from .errors import NonSymmetricInputError
 from .partitions import Partition
 
 XPoly = dict[tuple[int, ...], int]
-
-
-def check_symmetric(p: XPoly, k: int) -> None:
-    """Raise NonSymmetricInputError unless p is symmetric in its k variables.
-
-    Adjacent transpositions generate S_k, so it is enough that swapping
-    any two adjacent variables leaves p unchanged.
-    """
-    for i in range(k - 1):
-        for key, c in p.items():
-            if p.get(key[:i] + (key[i + 1], key[i]) + key[i + 2 :]) != c:
-                raise NonSymmetricInputError(
-                    f"coefficient of x^{key} changes when x{i + 1} and x{i + 2} swap"
-                )
 
 
 @lru_cache(maxsize=None)

@@ -8,9 +8,12 @@ is the main correctness evidence for the combinatorial core.  The small
 x-polynomial builders (elementary, complete and monomial symmetric
 polynomials, products and integer multiples) also make the tests' inputs.
 
-Six functions build on the package.  ``sigma_triple_sum`` evaluates the
-paper's split formula term by term on the package's own series, so
-agreement with ``limiting.sigma_direct`` and ``limiting.sigma_pb``
+Seven functions build on the package.  ``schur_image`` reads a
+symmetric x-polynomial into the ring the one way the package reads its
+tables, ``sympoly.schur_coefficients`` then ``schur_class``, so the
+x-polynomial builders check that path against Jacobi-Trudi and against
+products in the ring.  ``sigma_triple_sum`` evaluates the paper's split
+formula term by term on the package's own series, so agreement with ``limiting.sigma_direct`` and ``limiting.sigma_pb``
 checks how those functions rearrange the sum, not the series themselves.
 ``sym_ustar_chern_by_products`` evaluates the package's symmetric-power
 table in the elementary generators by Chow products, so agreement with
@@ -35,7 +38,7 @@ reduction by the zeta relation to the ``PBClass`` constructor.
 from itertools import combinations, combinations_with_replacement, permutations
 from math import comb
 
-from schubfire import bundles
+from schubfire import bundles, sympoly
 from schubfire.chow import GrassCtx
 from schubfire.errors import ContextMismatchError
 from schubfire.partitions import schur_to_elementary
@@ -204,6 +207,14 @@ def schur_x_jt(lam, k):
         for key, c in prod.items():
             acc[key] = acc.get(key, 0) + c
     return {key: c for key, c in acc.items() if c}
+
+
+def schur_image(p, ctx):
+    """Image in the ring of a symmetric x-polynomial in ctx.k variables,
+    read as the package reads its tables: Schur coefficients by the
+    bialternant, then s_lam to its class.  Pieces of degree above the
+    ring's dimension and shapes leaving the box vanish."""
+    return ctx.schur_class(sympoly.schur_coefficients(p, ctx.k))
 
 
 def sigma_triple_sum(r, n, d, k):

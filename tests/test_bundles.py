@@ -217,7 +217,7 @@ def test_segre_inverse_property():
 def test_sym_chern_agrees_with_root_polynomial_straightening():
     # Second route: expand the product of (1 + root t) over the Chern roots
     # of the symmetric power as a symmetric polynomial and read its Schur
-    # coefficients straight into the box with schur_expand; must match the
+    # coefficients straight into the box with schur_image; must match the
     # table route (the table's Schur coefficients of the packed root
     # product, read into the box by GrassCtx.schur_class) class by class.
     # Both share the bialternant read-off, which test_chow checks against
@@ -226,9 +226,7 @@ def test_sym_chern_agrees_with_root_polynomial_straightening():
     # of the packed integers of the table.
     from itertools import combinations_with_replacement
 
-    from schubfire.chow import schur_expand
-
-    from _oracles import poly_add, poly_mul
+    from _oracles import poly_add, poly_mul, schur_image
 
     for (r, n, d) in [(1, 3, 2), (1, 3, 3), (2, 4, 2), (2, 5, 2), (3, 8, 3), (2, 9, 5)]:
         g = GrassCtx(r, n)
@@ -249,7 +247,7 @@ def test_sym_chern_agrees_with_root_polynomial_straightening():
                     )
         table_route = padded(total_chern(sym(d, ustar()), g), g)
         for i in range(g.dim + 1):
-            assert schur_expand(series[i], g) == table_route[i], (r, n, d, i)
+            assert schur_image(series[i], g) == table_route[i], (r, n, d, i)
 
 
 # Every expression has its series memoized, not only the powers of U*.

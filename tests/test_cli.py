@@ -231,6 +231,19 @@ def test_verify_text(capsys):
     assert "r=1 n=3 d=3 k=1: ok" in out
 
 
+@pytest.mark.parametrize(
+    "bounds", [("0", "5", "3"), ("-5", "5", "3"), ("1", "1", "3"), ("2", "5", "1")]
+)
+def test_verify_on_an_empty_grid_is_a_usage_error(capsys, bounds):
+    r_max, n_max, d_max = bounds
+    code, out, err = run(
+        capsys, "verify", "--r-max", r_max, "--n-max", n_max, "--d-max", d_max
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: empty grid")
+
+
 def test_exit_code_usage():
     code = main(["count", "--r", "3", "--n", "3", "--d", "2"])
     assert code == 2

@@ -315,10 +315,8 @@ def test_sigma_direct_product_count(clear_caches, monkeypatch, r, n, d, k, bound
     assert bool(calls) == (bound > 0)
 
 
-def test_sigma_direct_divides_the_power_total_class_built(clear_caches, monkeypatch):
-    # total_class multiplies Sym^47 U*'s 48 roots out; both sides of the
-    # split divide that packed product by their own roots instead of
-    # multiplying it out again.  Without the hand-off it is rebuilt.
+def _count_root_multiplications(monkeypatch):
+    """The number of roots of each root product multiplied out from now on."""
     real, multiplied = bundles._root_product, []
 
     def counted(series, forms, base, divide=False):
@@ -327,6 +325,14 @@ def test_sigma_direct_divides_the_power_total_class_built(clear_caches, monkeypa
         return real(series, forms, base, divide)
 
     monkeypatch.setattr(bundles, "_root_product", counted)
+    return multiplied
+
+
+def test_sigma_direct_divides_the_power_total_class_built(clear_caches, monkeypatch):
+    # total_class multiplies Sym^47 U*'s 48 roots out; both sides of the
+    # split divide that packed product by their own roots instead of
+    # multiplying it out again.  Without the hand-off it is rebuilt.
+    multiplied = _count_root_multiplications(monkeypatch)
     total_class(1, 25, 47)
     expect = [sigma_direct(1, 25, 47, k) for k in (23, 24)]
     assert multiplied == [48]
@@ -336,6 +342,17 @@ def test_sigma_direct_divides_the_power_total_class_built(clear_caches, monkeypa
     bundles._HANDOFF.clear()
     assert [sigma_direct(1, 25, 47, k) for k in (23, 24)] == expect
     assert multiplied == [48, 48, 48]
+
+
+def test_clear_caches_leaves_no_product_to_divide(clear_caches, monkeypatch):
+    # A cold first term multiplies the 48 roots of Sym^47 U* out once; had
+    # the fixture kept the product total_class built, it would multiply none.
+    total_class(1, 25, 47)
+    clear_caches()
+    assert not bundles._HANDOFF
+    multiplied = _count_root_multiplications(monkeypatch)
+    sigma_direct(1, 25, 47, 23)
+    assert multiplied == [48]
 
 
 @pytest.mark.parametrize(

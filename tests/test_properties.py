@@ -1,4 +1,5 @@
-"""Randomised invariants: the straightening, schur_expand, the ring
+"""Randomised invariants: the straightening, the read-off of symmetric
+polynomials into the ring through their Schur coefficients, the ring
 axioms of Chow classes and Chern polynomials, sums and integer multiples
 of projective-bundle classes, the projection formula and the fiber
 integrals it reads, the power of every bundle against its table
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 from schubfire import bundles
 from schubfire.bundles import ChernCtx, ChernPoly
-from schubfire.chow import ChowClass, GrassCtx, schur_expand
+from schubfire.chow import ChowClass, GrassCtx
 from schubfire.cli import main
 from schubfire.errors import ContextMismatchError, RankCapExceededError
 from schubfire.limiting import _fiber_integrals, sigma_direct, sigma_pb
@@ -36,6 +37,7 @@ from _oracles import (
     poly_add,
     poly_mul,
     poly_scale,
+    schur_image,
     segre_by_inversion,
     sigma_triple_sum,
     sym_chern_by_e_monomials,
@@ -100,7 +102,7 @@ def symmetric_pairs(draw):
 @given(symmetric_pairs())
 def test_schur_expand_is_multiplicative(case):
     ctx, p, q = case
-    assert schur_expand(poly_mul(p, q), ctx) == schur_expand(p, ctx) * schur_expand(q, ctx)
+    assert schur_image(poly_mul(p, q), ctx) == schur_image(p, ctx) * schur_image(q, ctx)
 
 
 # Boxes with at most 3 rows and 8 columns, and two-row boxes up to 12
@@ -411,6 +413,8 @@ def test_segre_equals_the_inverse_of_the_chern_series(ring, e, cap):
 
 # Grassmannians with k <= 3, where ``limiting.sigma_direct`` reads its first
 # term off the root product; the boxes one and two columns wide among them.
+# Then free rings in c1..ck, on which `class --expr "ctop(...)" --basis
+# chern` reads a power's top class, straightened into c1..ck.
 QUOTIENT_RINGS = [
     GrassCtx(0, 3),
     GrassCtx(1, 2),
@@ -420,11 +424,11 @@ QUOTIENT_RINGS = [
     GrassCtx(2, 4),
     GrassCtx(2, 6),
     GrassCtx(2, 9),
-]
+] + [ChernCtx(k, top) for k in (1, 2, 3) for top in (3, 6, 10)]
 _POWERS_OF_USTAR = st.builds(bundles.sym, st.integers(1, 5), st.just(bundles.ustar()))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)  # about 60 on each kind of ring
 @given(
     st.sampled_from(QUOTIENT_RINGS),
     st.one_of(_POWERS_OF_USTAR, _small_bundles()),
@@ -435,6 +439,8 @@ _POWERS_OF_USTAR = st.builds(bundles.sym, st.integers(1, 5), st.just(bundles.ust
 @example(GrassCtx(2, 4), bundles.sym(2, bundles.ustar()), bundles.sym(1, bundles.ustar()))
 @example(GrassCtx(2, 9), bundles.sym(2, bundles.dual(bundles.sym(2, bundles.ustar()))), None)
 @example(GrassCtx(1, 9), bundles.sym(3, bundles.dual(bundles.ustar())), bundles.ustar())
+@example(ChernCtx(3, 6), bundles.sym(2, bundles.ustar()), None)
+@example(ChernCtx(2, 10), bundles.sym(4, bundles.ustar()), bundles.dual(bundles.ustar()))
 def test_ctop_quotient_equals_chow_products(ring, e, f):
     # The package multiplies E's roots out to degree R, divides by F's and
     # multiplies that one degree by F's roots; the oracle takes c(E), c(F)

@@ -2,9 +2,8 @@
 
 import pytest
 
-from schubfire.errors import NonSymmetricInputError
 from schubfire.partitions import e_monomial_schur_expansion, schur_to_elementary
-from schubfire.sympoly import check_symmetric, schur_coefficient, schur_coefficients
+from schubfire.sympoly import schur_coefficient, schur_coefficients
 
 from _oracles import (
     complete_x,
@@ -22,13 +21,6 @@ def test_elementary_and_complete():
     assert elementary_x(2, 2) == {(1, 1): 1}
     assert elementary_x(3, 2) == {}
     assert complete_x(2, 2) == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
-
-
-def test_check_symmetric_detects_asymmetry():
-    with pytest.raises(NonSymmetricInputError):
-        check_symmetric({(2, 0): 1}, 2)  # incomplete orbit
-    with pytest.raises(NonSymmetricInputError):
-        check_symmetric({(2, 0): 1, (0, 2): 2}, 2)  # uneven coefficients
 
 
 def test_e_monomial_schur_expansion_matches_direct_expansion():
