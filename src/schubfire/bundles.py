@@ -7,7 +7,10 @@ principle.  Every Chern root of an expression is an integer linear form in
 the k roots of U* (``_forms``), so a symmetric power of any child goes
 through one kind of table: the product of (1 + root t) over the roots of
 the power, multiplied out in place on x-monomials packed into integers,
-its Schur coefficients read off by ``sympoly``.  The table is a Schur
+its Schur coefficients read off the packed keys by ``sympoly``: slot i,
+worth base**i, holds the exponent of x_i plus k - 1 and the base leaves
+2k - 2 above the top exponent, so no signed shift of the read-off borrows
+(``sympoly.packing``).  The table is a Schur
 expansion in the roots of U*, which ``schur_class`` reads straight into
 the ring: on a Grassmannian s_lam is sigma_lam, so no product is made.
 The table of Sym^d U* is memoized per (power, rank, degree cap) and shared
@@ -196,14 +199,14 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
 # where that measured faster: on a Grassmannian, whose read-off keeps the
 # shapes in the box and makes no product, with at most this many base roots.
 # For the inverse table of a power of U*: cold, at cap = dim, it won at
-# every G(k, n+1) tried with k <= 3; at k = 4 and 5 only on the wider boxes,
-# and at k = 6 it lost by up to 100x, its x-monomials and k! signed shifts
-# per shape outgrowing the products.  On ChernCtx the read-off straightens
-# every degree, and the inversion was as fast or faster at every point
-# tried.  For children other than U* the two have not been compared.  The
-# first term of ``limiting.sigma_direct`` follows the same rule: read off
-# ``ctop_quotient`` at k = 4, a cold split (3, 8, 3, 1) was about 1.2x
-# slower than by products.
+# every G(k, n+1) tried with k <= 3; at k = 4 and 5 only on the wider boxes
+# (G(4, 11), G(5, 11) and up), and at k = 6 it lost by up to 130x, its
+# x-monomials and k! signed shifts per shape, one lookup each, outgrowing
+# the products.  On ChernCtx the read-off straightens every degree, and the
+# inversion was as fast or faster at every point tried.  For children other
+# than U* the two have not been compared.  The first term of
+# ``limiting.sigma_direct`` follows the same rule: read off ``ctop_quotient``
+# at k = 4, a cold split (3, 8, 3, 1) was about 1.3x slower than by products.
 _ROOT_READ_MAX_K = 3
 
 
@@ -221,8 +224,8 @@ def reads_roots(expr: BundleExpr, ring) -> bool:
 
 
 # The packed root products of the last powers of U* that ``_sym_table``
-# built to their top degree, for ``_quotient_table`` to divide rather than
-# multiply out again: (expression, k) -> packed series.  In a split they are
+# built, for ``_quotient_table`` to divide rather than multiply out again:
+# (expression, k) -> (base, packed series).  In a split they are
 # Sym^d and Sym^k U*; keeping every one would hold the product of every
 # table built for as long as the process runs.
 _HANDOFF: dict = {}
@@ -232,13 +235,14 @@ _HANDOFF_SIZE = 2
 @lru_cache(maxsize=None)
 def _sym_table(d: int, k: int, cap: int) -> tuple[dict, ...]:
     power = sym(d, ustar())
-    series = _root_product(_unit_series(cap), _forms(power, k), cap + 1)
+    base, unit = sympoly.packing(cap, k)
+    series = _root_product(_unit_series(cap, unit), _forms(power, k), base)
     if k <= _ROOT_READ_MAX_K:  # the quotient is read only where reads_roots holds
         _HANDOFF.pop((power, k), None)
-        _HANDOFF[power, k] = series
+        _HANDOFF[power, k] = base, series
         if len(_HANDOFF) > _HANDOFF_SIZE:
             del _HANDOFF[next(iter(_HANDOFF))]
-    return _read_off(series, cap + 1, k)
+    return _read_off(series, base, k)
 
 
 def _forms(expr: BundleExpr, k: int) -> tuple[tuple[int, ...], ...]:
@@ -257,8 +261,8 @@ def _forms(expr: BundleExpr, k: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _unit_series(cap: int) -> list[dict[int, int]]:
-    return [{0: 1}] + [{} for _ in range(cap)]
+def _unit_series(cap: int, unit: int) -> list[dict[int, int]]:
+    return [{unit: 1}] + [{} for _ in range(cap)]
 
 
 def _has_opposite_roots(forms: tuple) -> bool:
@@ -281,10 +285,10 @@ def _root_product(series: list, forms: tuple, base: int, divide: bool = False) -
     after each root so that later roots do not walk them; the division
     leaves few, and is left as it is.
     """
-    # x-monomials are packed into one int, slot i worth base**i: no exponent
-    # reaches the base, so nothing carries and multiplying by x_i adds
-    # base**i, m times for a coefficient m of x_i in the root (negative in
-    # a dual, and in every root divided by).
+    # x-monomials are packed into one int (``sympoly.packing``), slot i
+    # worth base**i: no slot reaches the base, so nothing carries and
+    # multiplying by x_i adds base**i, m times for a coefficient m of x_i in
+    # the root (negative in a dual, and in every root divided by).
     cap = len(series) - 1
     steps = [base**i for i in range(len(forms[0]))]
     filled = max(t for t, p in enumerate(series) if p)
@@ -339,23 +343,15 @@ def _root_table(forms: tuple, cap: int, inverse: bool) -> tuple[dict, ...]:
     ``inverse`` its Segre classes s_0..s_cap, as Schur expansions in the
     roots of U*.  Only the tables of ``sym_chern`` are memoized;
     ``_series`` memoizes what is read."""
-    base = cap + 1
-    series = _root_product(_unit_series(cap), forms, base, divide=inverse)
-    return _read_off(series, base, len(forms[0]))
+    k = len(forms[0])
+    base, unit = sympoly.packing(cap, k)
+    series = _root_product(_unit_series(cap, unit), forms, base, divide=inverse)
+    return _read_off(series, base, k)
 
 
 def _read_off(series: list, base: int, k: int) -> tuple[dict, ...]:
     """Schur coefficients of each packed degree, read off by ``sympoly``."""
-    return tuple(sympoly.schur_coefficients(_unpack(p, base, k), k) for p in series)
-
-
-def _unpack(packed: dict[int, int], base: int, k: int) -> sympoly.XPoly:
-    """Exponent tuples of packed x-monomials, decoded one slot at a time."""
-    keys, slots = list(packed), []
-    for _ in range(k):
-        slots.append([key % base for key in keys])
-        keys = [key // base for key in keys]
-    return dict(zip(zip(*slots), packed.values()))
+    return tuple(sympoly.read_packed(p, t, base, k) for t, p in enumerate(series))
 
 
 @lru_cache(maxsize=None)
@@ -367,24 +363,25 @@ def _quotient_table(e: BundleExpr, f: BundleExpr | None, k: int) -> dict:
     (Macdonald, I.2-3), and c_top(F) is the product of F's roots.  So E's
     roots multiply the series up to degree R, F's divide it, and its degree
     R alone is multiplied by F's roots with no shift in t.  E's series is
-    taken from ``_HANDOFF`` when ``_sym_table`` has just built it to its
-    top degree, packed in the base used here.  With f None the product is
-    that of E's roots, read at degree rank E.
+    taken from ``_HANDOFF`` when ``_sym_table`` has just built it packed
+    in the base used here, which it is when built to its top degree; a
+    table built to a lower cap has a smaller base and is not divided.  With
+    f None the product is that of E's roots, read at degree rank E.
     """
     e_forms = _forms(e, k)
-    base = len(e_forms) + 1  # no exponent of the product exceeds rank E
+    base, unit = sympoly.packing(len(e_forms), k)  # no exponent exceeds rank E
     if f is None:
-        top, f_forms = {0: 1}, e_forms
+        top, f_forms = {unit: 1}, e_forms
     else:
         f_forms = _forms(f, k)
         cap = len(e_forms) - len(f_forms)
-        handed = _HANDOFF.get((e, k))
-        if handed is not None and len(handed) == base:
+        handed_base, handed = _HANDOFF.get((e, k), (None, None))
+        if handed_base == base:
             series = [dict(p) for p in handed[: cap + 1]]
         else:
-            series = _root_product(_unit_series(cap), e_forms, base)
+            series = _root_product(_unit_series(cap, unit), e_forms, base)
         top = _root_product(series, f_forms, base, divide=True)[cap]
-    return sympoly.schur_coefficients(_unpack(_times_roots(top, f_forms, base), base, k), k)
+    return sympoly.read_packed(_times_roots(top, f_forms, base), len(e_forms), base, k)
 
 
 # ---------------------------------------------------------------------------

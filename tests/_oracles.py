@@ -8,6 +8,10 @@ is the main correctness evidence for the combinatorial core.  The small
 x-polynomial builders (elementary, complete and monomial symmetric
 polynomials, products and integer multiples) also make the tests' inputs.
 
+``schur_coefficients_by_shifts`` is the bialternant on exponent tuples,
+one shifted tuple per permutation, against which the package's read-off
+of packed keys is checked.
+
 Seven functions build on the package.  ``schur_image`` reads a
 symmetric x-polynomial into the ring the one way the package reads its
 tables, ``sympoly.schur_coefficients`` then ``schur_class``, so the
@@ -207,6 +211,38 @@ def schur_x_jt(lam, k):
         for key, c in prod.items():
             acc[key] = acc.get(key, 0) + c
     return {key: c for key, c in acc.items() if c}
+
+
+def schur_coefficients_by_shifts(f, k):
+    """Schur expansion {partition: c} of a symmetric x-polynomial in k
+    variables by the bialternant on exponent tuples: c_lam is the signed
+    sum of f at lam + delta - sigma(delta) over the permutations sigma of
+    the rows of lam, each shifted tuple built and looked up as it is.  The
+    package reads the same formula off packed integer keys."""
+    tops = {}
+    for key in f:
+        tops[sum(key)] = max(tops.get(sum(key), 0), max(key))
+    out = {}
+    for lam in _box_shapes(k, max(tops.values(), default=0)):
+        if sum(lam) not in tops or (lam and lam[0] > tops[sum(lam)]):
+            continue
+        rows = len(lam)
+        c = 0
+        for perm in permutations(range(rows)):
+            inversions = sum(perm[a] > perm[b] for a in range(rows) for b in range(a + 1, rows))
+            shifted = tuple(p + perm[i] - i for i, p in enumerate(lam)) + (0,) * (k - rows)
+            c += (-1 if inversions % 2 else 1) * f.get(shifted, 0)
+        if c:
+            out[lam] = c
+    return out
+
+
+def unpack(packed, base, k):
+    """Exponent tuples of x-monomials packed as ``sympoly`` packs them:
+    slot i of a key, worth base**i, holds the exponent of x_i plus k - 1."""
+    return {
+        tuple(key // base**i % base - (k - 1) for i in range(k)): c for key, c in packed.items()
+    }
 
 
 def schur_image(p, ctx):

@@ -6,7 +6,7 @@ from math import comb
 
 import pytest
 
-from schubfire import bundles
+from schubfire import bundles, sympoly
 from schubfire.bundles import (
     RANK_CAP_ENV,
     ChernCtx,
@@ -22,10 +22,11 @@ from schubfire.bundles import (
 )
 from schubfire.chow import GrassCtx, schubert_string
 from schubfire.errors import RankCapExceededError
+from schubfire.limiting import split
 from schubfire.partitions import schur_to_elementary
 from schubfire.projbundle import PBCtx
 
-from _oracles import padded
+from _oracles import padded, schur_coefficients_by_shifts, unpack
 
 
 def test_bundle_rank():
@@ -300,9 +301,45 @@ def test_root_product_drops_cancelled_monomials():
     # 783 of the 937 packed entries at the end, and every later root walked
     # them again.
     forms = bundles._forms(sym(2, direct_sum(ustar(), dual(ustar()))), 3)
-    series = bundles._root_product(bundles._unit_series(21), forms, 22)
+    base, unit = sympoly.packing(21, 3)
+    series = bundles._root_product(bundles._unit_series(21, unit), forms, base)
     assert sum(len(p) for p in series) == 154
     assert all(c for p in series for c in p.values())
+
+
+def test_cold_split_tables_read_as_by_tuple_shifts(clear_caches, monkeypatch):
+    # Every packed degree that the benchmark's cold-tables problems read,
+    # in the tables of sym_chern, the inverse tables and the quotients,
+    # unpacked and read again by the bialternant on exponent tuples.
+    reads, source = [], []
+    real_read = sympoly.read_packed
+
+    def read(f, degree, base, k):
+        out = real_read(f, degree, base, k)
+        reads.append((source[-1], unpack(f, base, k), k, out))
+        return out
+
+    def tag(name):
+        real = getattr(bundles, name)
+
+        def tagged(*args, **kwargs):
+            source.append(name)
+            try:
+                return real(*args, **kwargs)
+            finally:
+                source.pop()
+
+        monkeypatch.setattr(bundles, name, tagged)
+
+    for name in ("_sym_table", "_root_table", "_quotient_table"):
+        tag(name)
+    monkeypatch.setattr(sympoly, "read_packed", read)
+    cold_tables = [(3, 8, 3, 1), (3, 8, 3, 2), (3, 10, 3, 1), (2, 12, 6, 3), (2, 9, 5, 2), (4, 7, 2, 1)]
+    for point in cold_tables:
+        split(*point)
+    assert {name for name, *_ in reads} == {"_sym_table", "_root_table", "_quotient_table"}
+    for name, f, k, out in reads:
+        assert schur_coefficients_by_shifts(f, k) == out, name
 
 
 def test_ustar_segre_on_a_wide_free_ring_is_an_inversion(clear_caches):

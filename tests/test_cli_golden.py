@@ -60,6 +60,9 @@ INVOCATIONS = [
     ["class", "--expr", "segre(6,sym(1,Ustar))", "--r", "2", "--n", "6"],
     ["class", "--expr", "segre(12,sym(2,Ustar))", "--r", "3", "--n", "9", "--basis", "chern"],
     ["class", "--expr", "segre(14,sym(3,Ustar))", "--r", "2", "--n", "8"],
+    # tables with more base roots: a split with k = 5 and a Chern class with k = 6
+    ["split", "--r", "4", "--n", "7", "--d", "2", "--k", "1", "--format", "json"],
+    ["class", "--expr", "chern(8,sym(2,Ustar))", "--r", "5", "--n", "8"],
     # verify on a small grid
     ["verify", "--r-max", "2", "--n-max", "4", "--d-max", "3"],
     ["verify", "--r-max", "1", "--n-max", "4", "--d-max", "4", "--format", "json"],

@@ -10,6 +10,8 @@ c_top(F) c_R(E - F) off one root product against Chow products, the
 collapsed split formula against the paper's triple sum, and the `class`
 command on random input."""
 
+from functools import lru_cache
+
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -37,7 +39,9 @@ from _oracles import (
     poly_add,
     poly_mul,
     poly_scale,
+    schur_coefficients_by_shifts,
     schur_image,
+    schur_x_jt,
     segre_by_inversion,
     sigma_triple_sum,
     sym_chern_by_e_monomials,
@@ -115,6 +119,39 @@ def chow_classes(draw):
     ctx = draw(st.sampled_from(RING_CONTEXTS))
     shapes = st.sampled_from(list(iter_box_partitions(ctx.box)))
     return ctx, [ChowClass(ctx, draw(st.dictionaries(shapes, COEFFS, max_size=3))) for _ in range(3)]
+
+
+_SCHUR_X = lru_cache(maxsize=None)(schur_x_jt)
+_SMALL_SHAPES = [lam for lam in iter_box_partitions(Box(5, 6)) if sum(lam) <= 6]
+
+
+@st.composite
+def schur_combinations(draw):
+    k = draw(st.integers(1, 5))
+    shapes = st.sampled_from([lam for lam in _SMALL_SHAPES if len(lam) <= k])
+    return k, draw(st.lists(st.tuples(shapes, st.integers(-5, 5)), max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(schur_combinations())
+@example((1, [((3,), 2), ((), -1)]))  # k = 1: the slot offset is 0
+@example((2, []))  # the empty polynomial
+@example((3, [((), 5)]))  # a constant
+@example((3, [((1, 1, 1), 1)]))  # shifts of (1, 1, 1) read a negative slot
+@example((3, [((2, 1), 4), ((2, 1), -4)]))  # a combination that cancels
+@example((5, [((6,), -1), ((1, 1, 1, 1, 1), 3)]))  # the top exponent at the base limit
+def test_schur_coefficients_read_a_combination_of_schur_polynomials(case):
+    # Mixed degrees and negative coefficients, each s_lam expanded by
+    # Jacobi-Trudi; the packed read-off and the bialternant on exponent
+    # tuples both return exactly the combination.
+    k, terms = case
+    f, expected = {}, {}
+    for lam, c in terms:
+        f = poly_add(f, poly_scale(_SCHUR_X(lam, k), c))
+        expected[lam] = expected.get(lam, 0) + c
+    expected = {lam: c for lam, c in expected.items() if c}
+    assert schur_coefficients(f, k) == expected
+    assert schur_coefficients_by_shifts(f, k) == expected
 
 
 @settings(max_examples=40, deadline=None)

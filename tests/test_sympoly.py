@@ -3,7 +3,7 @@
 import pytest
 
 from schubfire.partitions import e_monomial_schur_expansion, schur_to_elementary
-from schubfire.sympoly import schur_coefficient, schur_coefficients
+from schubfire.sympoly import packing, read_packed, schur_coefficient, schur_coefficients
 
 from _oracles import (
     complete_x,
@@ -65,3 +65,16 @@ def test_monomial_sym_and_scale():
     assert m2 == {(2, 0): 1, (0, 2): 1}
     assert poly_scale(m2, 0) == {}
     assert poly_add(m2, poly_scale(m2, -1)) == {}
+
+
+def test_packed_read_off_at_the_base_limit():
+    # s_6 in 3 variables packs with base 6 + 2k - 1 = 11: reading (6,) puts
+    # 6 + (k - 1) + 2 = 10 in slot 0, the last value below the base.  A
+    # wider base reads the same.
+    k, expected = 3, {(6,): 1, (4, 2): -2}
+    f = poly_add(schur_x_jt((6,), k), poly_scale(schur_x_jt((4, 2), k), -2))
+    assert packing(6, k)[0] == 11
+    for base in (11, 12, 20):
+        unit = (k - 1) * sum(base**i for i in range(k))
+        packed = {unit + sum(e * base**i for i, e in enumerate(key)): c for key, c in f.items()}
+        assert read_packed(packed, 6, base, k) == expected
