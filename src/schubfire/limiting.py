@@ -43,7 +43,7 @@ from math import comb
 from . import bundles
 from .chow import ChowClass, GrassCtx, integral
 from .errors import RouteMismatchError
-from .projbundle import PBClass, PBCtx, pushforward
+from .projbundle import PBClass, PBCtx, _reduce, pushforward
 
 @dataclass(frozen=True)
 class ProblemParams:
@@ -190,11 +190,14 @@ def sigma_pb(r: int, n: int, d: int, k: int) -> ChowClass:
     coefficients of a reduced by the zeta relation and w_p is
     pushforward(zeta^p * b), which depends on P(E) only and is memoized
     per ``PBCtx`` (``_fiber_integrals``).  a_p is A_p plus what the
-    relation carries down from the A_q with q >= e, so A_p is formed only
-    for p >= e or w_p != 0.  w is (1, 0, ..., 0), c(E) s(E) = 1 seen
-    through the relation, but it is read, not assumed: this route uses
-    only the zeta relation and never s(E), so it does not share
-    ``sigma_direct``'s collapse.
+    relation carries down from the A_q with q >= e.  Only the a_p with
+    w_p != 0 are read, so A_p is formed only for p >= e or w_p != 0, and
+    those powers are the reduction's read set: it makes no carry into
+    another power below e.  That is exact, because the relation only
+    lowers powers, so such a carry could never reach a read one.  w is
+    (1, 0, ..., 0), c(E) s(E) = 1 seen through the relation, but it is
+    read, not assumed: this route uses only the zeta relation and never
+    s(E), so it does not share ``sigma_direct``'s collapse.
     """
     ProblemParams(r, n, d, k)
     bundles.sym_rank(r + 1, d)
@@ -212,14 +215,15 @@ def _sigma_pb_cached(r: int, n: int, d: int, k: int) -> ChowClass:
     w = _fiber_integrals(pb)
     cd = bundles.total_chern(_sym_ustar(d), ctx)
     sk = bundles.segre(_sym_ustar(k), ctx, max_degree=R)
+    reads = {p for p in range(r_l) if w[p]}  # a_p below e is read only through w_p
     coeffs = [ctx.zero() for _ in range(R + 1)]
     for p in range(R + 1):
-        if p >= r_l or w[p]:  # a_p below e is read only through w_p
+        if p >= r_l or p in reads:
             for i in range(R - p + 1):  # the binomial is positive for p <= R - i
                 if cd[i] and sk[R - p - i]:
                     coeffs[p] = coeffs[p] + comb(r_d - 1 - i, p) * (cd[i] * sk[R - p - i])
-    a = PBClass(pb, coeffs).terms
-    fiber = sum((a[p] * w[p] for p in a if w[p]), ctx.zero())
+    a = _reduce(pb, dict(enumerate(coeffs)), reads)
+    fiber = sum((a[p] * w[p] for p in a), ctx.zero())
     return bundles.total_chern(_sym_ustar(k), ctx)[r_k] * fiber
 
 

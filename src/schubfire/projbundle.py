@@ -22,7 +22,7 @@ list put back through the constructor.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Container, Sequence
 
 from . import bundles
 from .chow import ChowClass, GrassCtx, _Combination
@@ -52,12 +52,16 @@ class PBCtx:
         object.__setattr__(self, "chern_e", tuple(chern))
 
 
-def _reduce(ctx: PBCtx, terms: dict) -> dict:
+def _reduce(ctx: PBCtx, terms: dict, reads: Container[int]) -> dict:
     """Rewrite the powers zeta^p, p >= e, of ``terms`` {p: base class} by
-    the zeta relation, from the top down.
+    the zeta relation, from the top down, keeping only the powers below e
+    in ``reads``.
 
+    The relation only lowers powers, so a carry into a power below e that
+    is not read can never reach one that is; such carries are not made,
+    and what is returned on each read power is its full reduction.
     ``terms`` is consumed and may hold zero coefficients; the result holds
-    only the nonzero ones, all below e.
+    only the nonzero ones, all below e and in ``reads``.
     """
     e = ctx.rank
     for p in range(max(terms, default=0), e - 1, -1):
@@ -65,11 +69,11 @@ def _reduce(ctx: PBCtx, terms: dict) -> dict:
         if not c:
             continue
         for i in range(1, e + 1):
-            ci = ctx.chern_e[i]
-            if ci:
+            q, ci = p - i, ctx.chern_e[i]
+            if ci and (q >= e or q in reads):
                 t = ci * c
-                terms[p - i] = terms[p - i] - t if p - i in terms else -t
-    return {p: c for p, c in terms.items() if c}
+                terms[q] = terms[q] - t if q in terms else -t
+    return {p: c for p, c in terms.items() if c and p in reads}
 
 
 class PBClass(_Combination):
@@ -85,7 +89,7 @@ class PBClass(_Combination):
             if c.ctx != ctx.base:
                 raise ContextMismatchError("coefficient from a different base")
         self.ctx = ctx
-        self.terms = _reduce(ctx, dict(enumerate(coeffs)))
+        self.terms = _reduce(ctx, dict(enumerate(coeffs)), range(ctx.rank))
 
     def __repr__(self) -> str:
         parts = [f"({self.terms[j]!r})*z^{j}" for j in sorted(self.terms)]

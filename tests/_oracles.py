@@ -12,7 +12,7 @@ polynomials, products and integer multiples) also make the tests' inputs.
 one shifted tuple per permutation, against which the package's read-off
 of packed keys is checked.
 
-Seven functions build on the package.  ``schur_image`` reads a
+Eight functions build on the package.  ``schur_image`` reads a
 symmetric x-polynomial into the ring the one way the package reads its
 tables, ``sympoly.schur_coefficients`` then ``schur_class``, so the
 x-polynomial builders check that path against Jacobi-Trudi and against
@@ -37,6 +37,10 @@ division by F's roots stands in for the Segre series.  ``pb_product``
 multiplies two projective-bundle classes, a product the package does not
 have: it multiplies the zeta-polynomials out over the base and leaves the
 reduction by the zeta relation to the ``PBClass`` constructor.
+``pb_reduce_by_segre`` reduces a zeta-polynomial without the relation: it
+reads the coefficients off the pushforwards of zeta^m times it, which are
+sums of Segre classes of E, so agreement with ``PBClass`` checks the
+package's carries.
 """
 
 from itertools import combinations, combinations_with_replacement, permutations
@@ -394,3 +398,25 @@ def pb_product(x, y):
         for j, b in y.terms.items():
             coeffs[i + j] = coeffs[i + j] + a * b
     return PBClass(x.ctx, coeffs)
+
+
+def pb_reduce_by_segre(ctx, coeffs):
+    """{j: nonzero a_j}, sum_j a_j zeta^j the zeta-reduced form of
+    sum_p coeffs[p] zeta^p, never using the zeta relation.
+
+    pushforward(zeta^(e-1+i)) = s_i(E), so the pushforward of zeta^m times
+    the polynomial is sum_p coeffs[p] s_(p+m-e+1)(E); of the reduced form
+    it is a_(e-1-m) plus the a_j, j > e-1-m, times Segre classes.  Solved
+    for m = 0..e-1, that gives the a_j from the top down.
+    """
+    base, e, top = ctx.base, ctx.rank, ctx.base.top_degree
+    s = segre_by_inversion(padded(ctx.chern_e, base), base, top)
+
+    def seg(i):
+        return s[i] if 0 <= i <= top else base.zero()
+
+    a = {}
+    for m in range(e):
+        pushed = sum((c * seg(p + m - e + 1) for p, c in enumerate(coeffs)), base.zero())
+        a[e - 1 - m] = pushed - sum((a[j] * seg(j + m - e + 1) for j in range(e - m, e)), base.zero())
+    return {j: c for j, c in a.items() if c}

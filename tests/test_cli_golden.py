@@ -45,6 +45,8 @@ INVOCATIONS = [
     # a plane case whose second term is present, checked against the bundle route
     ["split", "--r", "1", "--n", "25", "--d", "47", "--k", "23"],
     ["split", "--r", "2", "--n", "12", "--d", "6", "--k", "3", "--route", "both"],
+    # one of the heaviest reductions by the zeta relation on planes
+    ["split", "--r", "2", "--n", "10", "--d", "5", "--k", "2", "--route", "pb", "--format", "json"],
     # class: ctop, chern and segre of nested expressions in both bases
     ["class", "--expr", "ctop(sym(2,Ustar))", "--r", "2", "--n", "6", "--basis", "chern"],
     ["class", "--expr", "ctop(sym(2,Ustar))", "--r", "2", "--n", "6"],

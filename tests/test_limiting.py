@@ -357,7 +357,7 @@ def test_clear_caches_leaves_no_product_to_divide(clear_caches, monkeypatch):
 
 @pytest.mark.parametrize(
     "r,n,d,k,bundles_built,bound,pair_bound",
-    [(3, 8, 3, 1, 2, 250, 2500), (2, 12, 6, 3, 1, 250, 6000)],
+    [(3, 8, 3, 1, 2, 140, 800), (2, 12, 6, 3, 1, 125, 2400)],
 )
 def test_sigma_pb_product_count(
     clear_caches, monkeypatch, r, n, d, k, bundles_built, bound, pair_bound
@@ -367,7 +367,10 @@ def test_sigma_pb_product_count(
     # bundle is formed outside that build.  Forming all of a * b before
     # integrating took 471 and 942 Chow products of 9842 and 48488 term
     # pairs here; forming only its zeta^(e-1) coefficient took 369 and 381
-    # products of 5946 and 14425 pairs.
+    # products of 5946 and 14425 pairs.  Reducing a into every power below
+    # the rank took 188 and 166 products of 1741 and 4024 pairs (fiber
+    # integrals included); reducing it only into the powers that w reads
+    # takes 131 and 113 of 728 and 2247.
     total_class(r, n, d)
     sigma_direct(r, n, d, k)
     sigma_direct(r, n, d, d - k)

@@ -26,7 +26,7 @@ from schubfire.cli import main
 from schubfire.errors import ContextMismatchError, RankCapExceededError
 from schubfire.limiting import _fiber_integrals, sigma_direct, sigma_pb
 from schubfire.partitions import Box, iter_box_partitions, schur_to_elementary
-from schubfire.projbundle import PBClass, PBCtx, pushforward
+from schubfire.projbundle import PBClass, PBCtx, _reduce, pushforward
 from schubfire.sympoly import schur_coefficients
 
 from _oracles import (
@@ -36,6 +36,7 @@ from _oracles import (
     monomial_sym_x,
     padded,
     pb_product,
+    pb_reduce_by_segre,
     poly_add,
     poly_mul,
     poly_scale,
@@ -276,6 +277,36 @@ def test_fiber_integrals_by_the_zeta_relation(r, extra, l):
     w = _fiber_integrals(ctx)
     assert w == tuple(pushforward(x) for x in _zeta_powers_times(ctx, b))
     assert w == (ctx.base.one(),) + (ctx.base.zero(),) * (ctx.rank - 1)
+
+
+@st.composite
+def pb_reductions(draw):
+    """A context, raw zeta-coefficients up to 2e + 2 long and a read set."""
+    ctx = draw(st.sampled_from(PB_CONTEXTS))
+    shapes = st.sampled_from(list(iter_box_partitions(ctx.base.box)))
+    length = draw(st.integers(0, 2 * ctx.rank + 2))
+    coeffs = [ChowClass(ctx.base, draw(st.dictionaries(shapes, COEFFS, max_size=2))) for _ in range(length)]
+    return ctx, coeffs, draw(st.frozensets(st.integers(0, ctx.rank - 1)))
+
+
+_SWEEP_PB = PBCtx(GrassCtx(3, 8), bundles.sym(2, bundles.ustar()))  # the bundle of (3,8,3,1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(pb_reductions())
+@example((_SWEEP_PB, [_SWEEP_PB.base.sigma((1,) * (p % 3)) for p in range(22)], frozenset({0, 4})))
+def test_reduce_makes_only_the_carries_its_read_powers_need(case):
+    # The relation only lowers powers, so skipping the carries into unread
+    # powers below e leaves every read power as the full reduction has it.
+    # The full reduction goes through _reduce too, so it is checked first
+    # against one that reads the coefficients off Segre classes.
+    ctx, coeffs, reads = case
+    full = PBClass(ctx, coeffs).terms
+    assert full == pb_reduce_by_segre(ctx, coeffs)
+    got = _reduce(ctx, dict(enumerate(coeffs)), reads)
+    assert all(got.get(p, ctx.base.zero()) == full.get(p, ctx.base.zero()) for p in reads)
+    assert set(got) <= reads
+    assert all(got.values())
 
 
 @settings(max_examples=40, deadline=None)
