@@ -67,12 +67,11 @@ lowered.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import sympoly
-from .chow import GrassCtx, _Combination, render
+from .chow import GrassCtx, _Combination, _Record, _set_key, render
 from .errors import RankCapExceededError
 from .partitions import schur_to_elementary
 
@@ -85,13 +84,15 @@ RANK_CAP_DEFAULT = 64
 RANK_CAP_ENV = "SCHUBFIRE_RANK_CAP"
 
 
-@dataclass(frozen=True)
-class BundleExpr:
+class BundleExpr(_Record):
     """A node of a formal bundle expression (compare by structure)."""
 
-    kind: str
-    children: tuple = ()
-    power: int = 0
+    _fields = ("kind", "children", "power")
+
+    def __init__(self, kind: str, children: tuple = (), power: int = 0) -> None:
+        attrs = self.__dict__
+        attrs["kind"], attrs["children"], attrs["power"] = key = (kind, children, power)
+        _set_key(self, key)
 
     def __repr__(self) -> str:
         if self.kind == USTAR:
@@ -388,20 +389,21 @@ def _quotient_table(e: BundleExpr, f: BundleExpr | None, k: int) -> dict:
 # The free polynomial presentation in c1..ck
 
 
-@dataclass(frozen=True)
-class ChernCtx:
+class ChernCtx(_Record):
     """Free polynomial ring Z[c1..ck], truncated above top_degree.
 
     This is the presentation without any box relations, the one in which
     universal expansions are printed and compared.
     """
 
-    k: int
-    top_degree: int
+    _fields = ("k", "top_degree")
 
-    def __post_init__(self) -> None:
-        if self.k < 1 or self.top_degree < 0:
-            raise ValueError(f"need k >= 1 and top_degree >= 0, got {self.k} and {self.top_degree}")
+    def __init__(self, k: int, top_degree: int) -> None:
+        if k < 1 or top_degree < 0:
+            raise ValueError(f"need k >= 1 and top_degree >= 0, got {k} and {top_degree}")
+        attrs = self.__dict__
+        attrs["k"], attrs["top_degree"] = key = (k, top_degree)
+        _set_key(self, key)
 
     def zero(self) -> "ChernPoly":
         return ChernPoly._from_clean(self, {})

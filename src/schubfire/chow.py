@@ -11,8 +11,9 @@ Coefficients are Python ints throughout: intermediate Chern-monomial
 coefficients reach the 10^4..10^5 range and symmetric-power tables grow
 fast, so fixed-width arithmetic is not an option.
 
-How a combination is stored, added and scaled (``_Combination``) and
-how it is printed (``render``) is defined here once.
+How a combination is stored, added and scaled (``_Combination``), how
+it is printed (``render``) and the immutable record that every context
+is (``_Record``) are defined here once.
 ``bundles.ChernPoly`` shares both for the Chern-monomial basis, and
 ``projbundle.PBClass`` shares the sums and integer multiples, with base
 classes as the coefficients of the powers of zeta; it has no product.
@@ -20,7 +21,6 @@ classes as the coefficients of the powers of zeta; it has no product.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import ContextMismatchError, DegreeMismatchError
@@ -34,16 +34,51 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class GrassCtx:
+class _Record:
+    """An immutable value, compared and hashed by its type and ``_key``,
+    the tuple of the fields named in ``_fields``.
+
+    A subclass's ``__init__`` writes each field and any derived data once,
+    straight into ``self.__dict__``, and the key through ``_set_key``;
+    assigning or deleting an attribute afterwards raises ``AttributeError``.
+    The key has a slot of its own, the fastest read for ``==`` and ``hash``.
+    """
+
+    __slots__ = ("__dict__", "_key")
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key == other._key if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key)
+
+    def __reduce__(self):  # the key is the constructor's arguments
+        return type(self), self._key
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{f}={v!r}" for f, v in zip(self._fields, self._key))
+        return f"{type(self).__qualname__}({body})"
+
+
+_set_key = _Record._key.__set__
+
+
+class GrassCtx(_Record):
     """Numerical context for G(r+1, n+1), the r-planes in P^n."""
 
-    r: int
-    n: int
+    _fields = ("r", "n")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.r < self.n):
-            raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
+    def __init__(self, r: int, n: int) -> None:
+        if not (0 <= r < n):
+            raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
+        attrs = self.__dict__
+        attrs["r"], attrs["n"] = key = (r, n)
+        _set_key(self, key)
 
     @property
     def k(self) -> int:
@@ -189,16 +224,17 @@ class ChowClass(_Combination):
         rows, cols = self.ctx.box
         out: dict[Partition, int] = {}
         for lam, ca in self.terms.items():
+            l1 = lam[0] if lam else 0
             for mu, cb in other_terms.items():
                 c = ca * cb
+                m1 = mu[0] if mu else 0
                 # Decompose the factor with the narrower diagram: each
                 # e-monomial of s_mu has mu_1 factors, so it adds fewer
-                # strips.  The cache key is the ordered pair, so a
-                # consistent choice maximizes reuse.
-                a, b = lam, mu
-                if (b[0] if b else 0) > (a[0] if a else 0):
-                    a, b = b, a
-                for nu, m in _lr(a, b, rows, cols):
+                # strips.  A strip widens a shape by one column at most, so
+                # a column bound of l1 + m1 truncates nothing, and every
+                # wider box shares the memo entry of the ordered pair.
+                a, b = (lam, mu) if l1 >= m1 else (mu, lam)
+                for nu, m in _lr(a, b, rows, min(cols, l1 + m1)):
                     v = out.get(nu, 0) + c * m
                     if v:
                         out[nu] = v

@@ -36,31 +36,31 @@ asks for each problem twice, once as k and once as the mirror split's l.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from typing import NamedTuple
 
 from . import bundles
-from .chow import ChowClass, GrassCtx, integral
+from .chow import ChowClass, GrassCtx, _Record, _set_key, integral
 from .errors import RouteMismatchError
 from .projbundle import PBClass, PBCtx, _reduce, pushforward
 
-@dataclass(frozen=True)
-class ProblemParams:
+
+class ProblemParams(_Record):
     """One degeneration problem; k is the degree of the first component."""
 
-    r: int
-    n: int
-    d: int
-    k: int | None = None
+    _fields = ("r", "n", "d", "k")
 
-    def __post_init__(self) -> None:
-        if not (0 <= self.r < self.n):
-            raise ValueError(f"need 0 <= r < n, got r={self.r}, n={self.n}")
-        if self.d < 1:
-            raise ValueError(f"degree must be positive, got d={self.d}")
-        if self.k is not None and not (1 <= self.k <= self.d - 1):
-            raise ValueError(f"split degree must satisfy 1 <= k <= d-1, got k={self.k}")
+    def __init__(self, r: int, n: int, d: int, k: int | None = None) -> None:
+        if not (0 <= r < n):
+            raise ValueError(f"need 0 <= r < n, got r={r}, n={n}")
+        if d < 1:
+            raise ValueError(f"degree must be positive, got d={d}")
+        if k is not None and not (1 <= k <= d - 1):
+            raise ValueError(f"split degree must satisfy 1 <= k <= d-1, got k={k}")
+        attrs = self.__dict__
+        attrs["r"], attrs["n"], attrs["d"], attrs["k"] = key = (r, n, d, k)
+        _set_key(self, key)
 
     @property
     def l(self) -> int | None:
@@ -240,8 +240,7 @@ def _fiber_integrals(pb: PBCtx) -> tuple[ChowClass, ...]:
     return tuple(w)
 
 
-@dataclass
-class SplitResult:
+class SplitResult(NamedTuple):
     """Total class and its two-component split for one problem."""
 
     r: int
@@ -292,22 +291,7 @@ def split(r: int, n: int, d: int, k: int, route: str = "direct") -> SplitResult:
     else:
         counts = (None, None, None)
     status = "ok" if m >= 0 else "negative-expected-dimension"
-    return SplitResult(
-        r=r,
-        n=n,
-        d=d,
-        k=k,
-        l=l,
-        m=m,
-        total=total,
-        sigma_k=sk,
-        sigma_l=sl,
-        identity_ok=identity_ok,
-        count_total=counts[0],
-        count_k=counts[1],
-        count_l=counts[2],
-        status=status,
-    )
+    return SplitResult(r, n, d, k, l, m, total, sk, sl, identity_ok, *counts, status)
 
 
 def verify_identity(r: int, n: int, d: int, k: int) -> bool:

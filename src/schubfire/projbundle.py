@@ -21,16 +21,14 @@ list put back through the constructor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Container, Sequence
 
 from . import bundles
-from .chow import ChowClass, GrassCtx, _Combination
+from .chow import ChowClass, GrassCtx, _Combination, _Record, _set_key
 from .errors import ContextMismatchError
 
 
-@dataclass(frozen=True)
-class PBCtx:
+class PBCtx(_Record):
     """Context for P(E) over a Grassmannian base, compared and hashed by
     its base and the expression of E, like ``GrassCtx(r, n)``.
 
@@ -39,17 +37,16 @@ class PBCtx:
     forward.
     """
 
-    base: GrassCtx
-    bundle: bundles.BundleExpr
-    rank: int = field(init=False, compare=False, repr=False)
-    chern_e: tuple[ChowClass, ...] = field(init=False, compare=False, repr=False)
+    _fields = ("base", "bundle")
 
-    def __post_init__(self) -> None:
-        rank = bundles.bundle_rank(self.bundle, self.base.k)  # >= 1, and inside the rank cap
-        chern = bundles.total_chern(self.bundle, self.base)  # stops at min(rank, dim)
-        chern += [self.base.zero()] * (rank + 1 - len(chern))
-        object.__setattr__(self, "rank", rank)
-        object.__setattr__(self, "chern_e", tuple(chern))
+    def __init__(self, base: GrassCtx, bundle: bundles.BundleExpr) -> None:
+        rank = bundles.bundle_rank(bundle, base.k)  # >= 1, and inside the rank cap
+        chern = bundles.total_chern(bundle, base)  # stops at min(rank, dim)
+        chern += [base.zero()] * (rank + 1 - len(chern))
+        attrs = self.__dict__
+        attrs["base"], attrs["bundle"] = key = (base, bundle)
+        _set_key(self, key)
+        attrs["rank"], attrs["chern_e"] = rank, tuple(chern)
 
 
 def _reduce(ctx: PBCtx, terms: dict, reads: Container[int]) -> dict:

@@ -12,7 +12,15 @@ from schubfire.chow import (
     serialize_class,
 )
 from schubfire.errors import ContextMismatchError, DegreeMismatchError
-from schubfire.partitions import Box, complement_in_box, fits_box, iter_box_partitions, weight
+from schubfire.partitions import (
+    Box,
+    _lr,
+    complement_in_box,
+    fits_box,
+    iter_box_partitions,
+    lr_multiply,
+    weight,
+)
 
 from _oracles import (
     complete_x,
@@ -82,6 +90,28 @@ def test_integral(g35):
         integral(g35.sigma((1,)))
     with pytest.raises(DegreeMismatchError):
         integral(g35.one() + point)
+
+
+def test_basis_products_are_the_littlewood_richardson_products():
+    # A product bounds the columns of its kernel lookup by l1 + m1 where
+    # that is narrower than the box; lr_multiply bounds them by the box.
+    ctx = GrassCtx(2, 6)
+    shapes = list(iter_box_partitions(ctx.box))
+    for lam in shapes:
+        for mu in shapes:
+            assert (ctx.sigma(lam) * ctx.sigma(mu)).terms == lr_multiply(lam, mu, ctx.box)
+
+
+def test_kernel_memo_is_shared_by_boxes_of_one_rank(clear_caches):
+    # s_(2,1) s_(2,2) has no shape wider than 4 columns, narrower than the
+    # boxes of both G(3, 11) (8 columns) and G(3, 13) (10 columns).
+    narrow = GrassCtx(3, 11).sigma((2, 1)) * GrassCtx(3, 11).sigma((2, 2))
+    before = _lr.cache_info()
+    wide = GrassCtx(3, 13).sigma((2, 1)) * GrassCtx(3, 13).sigma((2, 2))
+    after = _lr.cache_info()
+    assert (after.hits - before.hits, after.misses - before.misses) == (1, 0)
+    assert wide.terms == narrow.terms
+    assert narrow.terms == lr_multiply((2, 1), (2, 2), GrassCtx(3, 11).box)
 
 
 def test_ring_axioms_sampled():
