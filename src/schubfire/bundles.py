@@ -13,8 +13,8 @@ worth base**i, holds the exponent of x_i plus k - 1 and the base leaves
 (``sympoly.packing``).  The table is a Schur
 expansion in the roots of U*, which ``schur_class`` reads straight into
 the ring: on a Grassmannian s_lam is sigma_lam, so no product is made.
-The table of Sym^d U* is memoized per (power, rank, degree cap) and shared
-by every ring with that rank.
+Every table is memoized per (expression, k, degree cap), Chern and Segre
+tables alike (``_table``), and shared by every ring with that k.
 
 One loop (``_root_product``) multiplies a packed series by 1 + root t and
 divides it by 1 + root t, so it builds Segre classes as well, and
@@ -22,9 +22,11 @@ divides it by 1 + root t, so it builds Segre classes as well, and
 such product: E's roots multiply, F's divide up to degree R, and that one
 degree is multiplied by F's roots with no shift in t.  This is the first
 term of ``limiting.sigma_direct``; with no F it is c_top(E), the product
-of E's roots, which ``class`` prints.  The expansion is memoized per
-(E, F, k), and E = Sym^d U* starts from the packed product that the table
-build of Sym^d U* has just left (``_HANDOFF``, two entries).
+of E's roots, which ``limiting.total_class`` and ``class`` read.  The
+expansion is memoized per (E, F, k).  Where quotients are read (k <=
+``_ROOT_READ_MAX_K``), E's product up to its rank is kept by one small
+memo (``_packed_product``), which the Chern table of E reads off as well,
+so the two sides of a split divide one product.
 
 The Chern and Segre series of every expression are computed once per
 ring, memoized by the expression's structure and the ring, and shared by
@@ -193,7 +195,7 @@ def sym_chern(d: int, k: int, max_degree: int | None = None) -> tuple[dict, ...]
     if max_degree is not None and max_degree < 0:
         raise ValueError(f"max_degree must be >= 0, got {max_degree}")
     cap = r_d if max_degree is None else min(max_degree, r_d)
-    return _sym_table(d, k, cap)
+    return _table(sym(d, ustar()), k, cap)
 
 
 # Root products are read into the ring in place of products in it only
@@ -222,28 +224,6 @@ def reads_roots(expr: BundleExpr, ring) -> bool:
         and isinstance(ring, GrassCtx)
         and ring.k <= _ROOT_READ_MAX_K
     )
-
-
-# The packed root products of the last powers of U* that ``_sym_table``
-# built, for ``_quotient_table`` to divide rather than multiply out again:
-# (expression, k) -> (base, packed series).  In a split they are
-# Sym^d and Sym^k U*; keeping every one would hold the product of every
-# table built for as long as the process runs.
-_HANDOFF: dict = {}
-_HANDOFF_SIZE = 2
-
-
-@lru_cache(maxsize=None)
-def _sym_table(d: int, k: int, cap: int) -> tuple[dict, ...]:
-    power = sym(d, ustar())
-    base, unit = sympoly.packing(cap, k)
-    series = _root_product(_unit_series(cap, unit), _forms(power, k), base)
-    if k <= _ROOT_READ_MAX_K:  # the quotient is read only where reads_roots holds
-        _HANDOFF.pop((power, k), None)
-        _HANDOFF[power, k] = base, series
-        if len(_HANDOFF) > _HANDOFF_SIZE:
-            del _HANDOFF[next(iter(_HANDOFF))]
-    return _read_off(series, base, k)
 
 
 def _forms(expr: BundleExpr, k: int) -> tuple[tuple[int, ...], ...]:
@@ -339,15 +319,30 @@ def _times_roots(poly: dict[int, int], forms: tuple, base: int) -> dict[int, int
     return poly
 
 
-def _root_table(forms: tuple, cap: int, inverse: bool) -> tuple[dict, ...]:
-    """c_0..c_cap of the bundle with these Chern roots (``_forms``), or with
-    ``inverse`` its Segre classes s_0..s_cap, as Schur expansions in the
-    roots of U*.  Only the tables of ``sym_chern`` are memoized;
-    ``_series`` memoizes what is read."""
-    k = len(forms[0])
-    base, unit = sympoly.packing(cap, k)
-    series = _root_product(_unit_series(cap, unit), forms, base, divide=inverse)
+@lru_cache(maxsize=None)
+def _table(expr: BundleExpr, k: int, cap: int, inverse: bool = False) -> tuple[dict, ...]:
+    """c_0..c_cap of the expression, or with ``inverse`` its Segre classes
+    s_0..s_cap, as Schur expansions in the k roots of U*.  A Chern table to
+    the rank is read off ``_packed_product`` where quotients are read."""
+    forms = _forms(expr, k)
+    if not inverse and cap == len(forms) and k <= _ROOT_READ_MAX_K:
+        base, series = _packed_product(expr, k)
+    else:
+        base, unit = sympoly.packing(cap, k)
+        series = _root_product(_unit_series(cap, unit), forms, base, divide=inverse)
     return _read_off(series, base, k)
+
+
+# Three entries hold every product that one split reads, of Sym^d U*,
+# Sym^k U* and Sym^l U*; an unbounded memo would hold the product of every
+# table built for as long as the process runs.
+@lru_cache(maxsize=3)
+def _packed_product(expr: BundleExpr, k: int) -> tuple[int, list]:
+    """The base and the packed series of the product of 1 + root t over the
+    expression's roots, up to its rank; callers copy what they change."""
+    forms = _forms(expr, k)
+    base, unit = sympoly.packing(len(forms), k)
+    return base, _root_product(_unit_series(len(forms), unit), forms, base)
 
 
 def _read_off(series: list, base: int, k: int) -> tuple[dict, ...]:
@@ -363,11 +358,11 @@ def _quotient_table(e: BundleExpr, f: BundleExpr | None, k: int) -> dict:
     product of 1 + root t over E's roots and of 1/(1 + root t) over F's
     (Macdonald, I.2-3), and c_top(F) is the product of F's roots.  So E's
     roots multiply the series up to degree R, F's divide it, and its degree
-    R alone is multiplied by F's roots with no shift in t.  E's series is
-    taken from ``_HANDOFF`` when ``_sym_table`` has just built it packed
-    in the base used here, which it is when built to its top degree; a
-    table built to a lower cap has a smaller base and is not divided.  With
-    f None the product is that of E's roots, read at degree rank E.
+    R alone is multiplied by F's roots with no shift in t.  Where quotients
+    are read (k <= ``_ROOT_READ_MAX_K``), E's series is a copy of
+    ``_packed_product`` up to degree R, so the mirror side of a split
+    divides the same product.  With f None the product is that of E's
+    roots, read at degree rank E, and no series is built.
     """
     e_forms = _forms(e, k)
     base, unit = sympoly.packing(len(e_forms), k)  # no exponent exceeds rank E
@@ -376,9 +371,8 @@ def _quotient_table(e: BundleExpr, f: BundleExpr | None, k: int) -> dict:
     else:
         f_forms = _forms(f, k)
         cap = len(e_forms) - len(f_forms)
-        handed_base, handed = _HANDOFF.get((e, k), (None, None))
-        if handed_base == base:
-            series = [dict(p) for p in handed[: cap + 1]]
+        if k <= _ROOT_READ_MAX_K:
+            series = [dict(p) for p in _packed_product(e, k)[1][: cap + 1]]
         else:
             series = _root_product(_unit_series(cap, unit), e_forms, base)
         top = _root_product(series, f_forms, base, divide=True)[cap]
@@ -556,8 +550,7 @@ def _series(expr: BundleExpr, ring) -> tuple[tuple, list]:
         if expr.children[0].kind == USTAR:
             table = sym_chern(expr.power, ring.k, max_degree=ring.top_degree)
         else:
-            forms = _forms(expr, ring.k)
-            table = _root_table(forms, min(len(forms), ring.top_degree), inverse=False)
+            table = _table(expr, ring.k, min(bundle_rank(expr, ring.k), ring.top_degree))
         chern = [ring.schur_class(entry) for entry in table]
     return tuple(chern), [ring.one()]
 
@@ -578,7 +571,7 @@ def _segre(expr: BundleExpr, ring, cap: int) -> list:
         inner = _segre(expr.children[0], ring, cap)
         s[:] = [x if i % 2 == 0 else -x for i, x in enumerate(inner)]
     elif len(s) == 1 and reads_roots(expr, ring):
-        table = _root_table(_forms(expr, ring.k), cap, inverse=True)
+        table = _table(expr, ring.k, cap, inverse=True)
         s[:] = [ring.schur_class(entry) for entry in table]
     else:  # a deeper cap extends a table's prefix by inversion, not a new table
         _extend_inverse(chern, s, ring, cap)

@@ -255,9 +255,8 @@ def cmd_class(args) -> int:
         value = ring.zero()
     elif op == "segre":
         value = bundles.segre(expr, ring, max_degree=degree)[degree]
-    elif op == "ctop" and expr.kind == bundles.SYM:
-        # A power's series is a root product read at every degree; its top
-        # class is the product of its roots, read at one.
+    elif op == "ctop":
+        # The top class is the product of the roots, read at that one degree.
         value = bundles.ctop_quotient(expr, None, ring)
     else:
         value = bundles.total_chern(expr, ring)[degree]

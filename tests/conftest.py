@@ -18,11 +18,6 @@ def clear_caches():
                 for value in vars(module).values():
                     if callable(getattr(value, "cache_clear", None)):
                         value.cache_clear()
-        # The packed products handed from the tables to the quotients are a
-        # plain dict, with no cache_clear.
-        bundles = sys.modules.get("schubfire.bundles")
-        if bundles is not None:
-            bundles._HANDOFF.clear()
 
     clear()
     return clear

@@ -275,14 +275,14 @@ def test_segre_reads_one_inverse_table_per_power(clear_caches, monkeypatch):
     # lower cap is a slice of the memo and a higher one extends the prefix
     # by inversion, so no second table is built.  Where the inversion was
     # measured faster, k = 4 or the free ring, no table is built at all.
-    real, built = bundles._root_table, []
+    real, built = bundles._table, []
 
-    def counted(forms, cap, inverse):
+    def counted(expr, k, cap, inverse=False):
         if inverse:
-            built.append((forms, cap))
-        return real(forms, cap, inverse)
+            built.append((bundles._forms(expr, k), cap))
+        return real(expr, k, cap, inverse)
 
-    monkeypatch.setattr(bundles, "_root_table", counted)
+    monkeypatch.setattr(bundles, "_table", counted)
     g = GrassCtx(2, 5)
     for e in MEMOIZED_EXPRS:
         short = segre(e, g, max_degree=3)
@@ -331,13 +331,13 @@ def test_cold_split_tables_read_as_by_tuple_shifts(clear_caches, monkeypatch):
 
         monkeypatch.setattr(bundles, name, tagged)
 
-    for name in ("_sym_table", "_root_table", "_quotient_table"):
+    for name in ("_table", "_quotient_table"):
         tag(name)
     monkeypatch.setattr(sympoly, "read_packed", read)
     cold_tables = [(3, 8, 3, 1), (3, 8, 3, 2), (3, 10, 3, 1), (2, 12, 6, 3), (2, 9, 5, 2), (4, 7, 2, 1)]
     for point in cold_tables:
         split(*point)
-    assert {name for name, *_ in reads} == {"_sym_table", "_root_table", "_quotient_table"}
+    assert {name for name, *_ in reads} == {"_table", "_quotient_table"}
     for name, f, k, out in reads:
         assert schur_coefficients_by_shifts(f, k) == out, name
 
@@ -420,7 +420,7 @@ def test_negative_degree_caps_are_refused(clear_caches):
             sym_chern(2, 2, cap)
         with pytest.raises(ValueError, match="max_degree"):
             segre(ustar(), GrassCtx(1, 3), max_degree=cap)
-    assert bundles._sym_table.cache_info().currsize == 0
+    assert bundles._table.cache_info().currsize == 0
     assert sym_chern(2, 2, 0) == ({(): 1},)
     assert segre(ustar(), GrassCtx(1, 3), max_degree=0) == [GrassCtx(1, 3).one()]
 

@@ -65,6 +65,11 @@ INVOCATIONS = [
     # tables with more base roots: a split with k = 5 and a Chern class with k = 6
     ["split", "--r", "4", "--n", "7", "--d", "2", "--k", "1", "--format", "json"],
     ["class", "--expr", "chern(8,sym(2,Ustar))", "--r", "5", "--n", "8"],
+    # c_top of any expression is read by ctop_quotient: a sum and a dual,
+    # and a count whose rank r_d = 10 is above dim = 6
+    ["class", "--expr", "ctop(sum(Ustar,dual(Ustar)))", "--r", "2", "--n", "6"],
+    ["class", "--expr", "ctop(dual(sym(2,Ustar)))", "--r", "2", "--n", "6", "--basis", "chern"],
+    ["count", "--r", "2", "--n", "4", "--d", "3", "--format", "json"],
     # verify on a small grid
     ["verify", "--r-max", "2", "--n-max", "4", "--d-max", "3"],
     ["verify", "--r-max", "1", "--n-max", "4", "--d-max", "4", "--format", "json"],

@@ -328,31 +328,63 @@ def _count_root_multiplications(monkeypatch):
     return multiplied
 
 
-def test_sigma_direct_divides_the_power_total_class_built(clear_caches, monkeypatch):
-    # total_class multiplies Sym^47 U*'s 48 roots out; both sides of the
-    # split divide that packed product by their own roots instead of
-    # multiplying it out again.  Without the hand-off it is rebuilt.
+def test_split_sides_divide_one_product_of_the_power(clear_caches, monkeypatch):
+    # total_class reads c_top(Sym^47 U*) at its one degree and multiplies no
+    # series out; the first side of the split multiplies Sym^47 U*'s 48
+    # roots out, and both sides divide that packed product by their own
+    # roots instead of multiplying it out again.
     multiplied = _count_root_multiplications(monkeypatch)
     total_class(1, 25, 47)
+    assert multiplied == []
     expect = [sigma_direct(1, 25, 47, k) for k in (23, 24)]
     assert multiplied == [48]
-    assert len(bundles._HANDOFF) <= bundles._HANDOFF_SIZE
+    assert bundles._packed_product.cache_info().currsize <= 3
     limiting._sigma_direct_cached.cache_clear()
     bundles._quotient_table.cache_clear()
-    bundles._HANDOFF.clear()
+    bundles._packed_product.cache_clear()
     assert [sigma_direct(1, 25, 47, k) for k in (23, 24)] == expect
-    assert multiplied == [48, 48, 48]
+    assert multiplied == [48, 48]
 
 
 def test_clear_caches_leaves_no_product_to_divide(clear_caches, monkeypatch):
     # A cold first term multiplies the 48 roots of Sym^47 U* out once; had
-    # the fixture kept the product total_class built, it would multiply none.
-    total_class(1, 25, 47)
+    # the fixture kept the product the other side built, it would multiply
+    # none.
+    sigma_direct(1, 25, 47, 24)
     clear_caches()
-    assert not bundles._HANDOFF
+    assert bundles._packed_product.cache_info().currsize == 0
     multiplied = _count_root_multiplications(monkeypatch)
     sigma_direct(1, 25, 47, 23)
     assert multiplied == [48]
+
+
+def test_split_multiplies_each_power_out_once(clear_caches, monkeypatch):
+    # Sym^7, Sym^3 and Sym^4 of U* on G(3, 15), in that order, and the
+    # mirror side divides Sym^7 U*'s product once the other two are built.
+    # A memo of the last two tables built would keep Sym^3 and Sym^4 U*
+    # only, and the mirror side would multiply Sym^7 U*'s 36 roots again.
+    multiplied = _count_root_multiplications(monkeypatch)
+    split(2, 14, 7, 3)
+    assert multiplied == [36, 10, 15]
+
+
+def test_no_product_is_kept_where_no_quotient_is_read(clear_caches):
+    # At k = 4 the split forms its first term by Chow products, so a packed
+    # product kept there would only hold memory.
+    split(3, 8, 3, 1)
+    assert bundles._packed_product.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize(
+    "r,n,d", [(r, n, d) for r in range(5) for n in range(r + 1, r + 4) for d in range(1, 4)]
+)
+def test_total_class_is_the_top_of_the_chern_series(r, n, d):
+    # The old read, the degree-r_d entry of the whole Chern series, as the
+    # oracle of the one-degree read; zero when r_d is above the dimension.
+    ctx = GrassCtx(r, n)
+    r_d = bundles.sym_rank(r + 1, d)
+    expect = total_chern(sym(d, ustar()), ctx)[r_d] if r_d <= ctx.dim else ctx.zero()
+    assert total_class(r, n, d) == expect
 
 
 @pytest.mark.parametrize(
